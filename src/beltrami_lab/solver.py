@@ -3,20 +3,32 @@
 The equation f_zbar = mu f_z with compactly supported mu is solved through
 the classical Neumann fixed point h <- mu S(h) + mu, where S is the
 Beurling transform; the principal solution is then f = z + C(h) with C the
-Cauchy transform.  C includes an affine zbar correction carrying the mean
-of h over the padded torus (the frequency multiplier drops the zero mode,
-and the correction restores it so the discrete dbar of f equals h).
+Cauchy transform.  Both transforms are frequency multipliers on a torus:
+the data sits in one corner of a zero-padded periodic buffer.
 
-Both transforms are frequency multipliers applied on a grid zero-padded to
-twice the side length and cropped back, which keeps periodization error
-away from the disk where the equation is checked.  Dilatation fields are
-sampled with subcell averaging in a thin band around their discontinuity
-circles; without it, sampling quantization at the jump roughly doubles the
-finite-difference dilatation error next to the excluded band.
+The fixed point runs on the bounding box of mu's nonzero samples, since h
+vanishes wherever mu does.  The box is zero-padded to a square torus about
+twice its side, of period P.  On that torus the Beurling kernel
+-1/(pi z^2) becomes -wp(z)/pi, where wp is the Weierstrass function of the
+square lattice P(Z + iZ): wp(z) = z^-2 + 3 G4 z^2 / P^4 + O(z^6 / P^8),
+because G6 vanishes for that lattice and G4 = Gamma(1/4)^8 / (960 pi^2).
+Each Beurling application adds the leading term back,
+(3 G4 / (pi P^4)) (z^2 M0 - 2 z M1 + M2) with M_k the integral of w^k h
+over the box; without it the periodization error of the small torus shows
+in the solution.  The lattice is square only when dx == dy, which
+SolveConfig requires.
 
-Sup-norm comparisons of derivative fields exclude a two-cell band around
-each jump circle: finite differences are O(1) wrong across a discontinuity
-at any resolution.
+The Cauchy step runs once per solve, on the full grid zero-padded to twice
+its side.  C includes an affine zbar correction carrying the mean of h over
+that torus (the frequency multiplier drops the zero mode, and the
+correction restores it so the discrete dbar of f equals h).
+
+Dilatation fields are sampled with subcell averaging in a thin band around
+their discontinuity circles; without it, sampling quantization at the jump
+roughly doubles the finite-difference dilatation error next to the excluded
+band.  Sup-norm comparisons of derivative fields exclude a two-cell band
+around each jump circle: finite differences are O(1) wrong across a
+discontinuity at any resolution.
 """
 
 from __future__ import annotations
@@ -25,6 +37,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -54,6 +67,8 @@ __all__ = [
 ]
 
 JUMP_BAND_CELLS = 2.0
+# G4 = sum' (a + ib)^-4 over the unit square lattice (the lemniscatic case)
+G4_SQUARE_LATTICE = math.gamma(0.25) ** 8 / (960.0 * math.pi**2)
 
 
 class PaddingError(ValueError):
@@ -92,37 +107,57 @@ def thread_count() -> int:
     return val
 
 
-_symbol_cache: dict = {}
-
-
-def _padded_symbols(grid: GridSpec):
-    key = (grid.nx, grid.ny, grid.dx, grid.dy)
-    hit = _symbol_cache.get(key)
-    if hit is not None:
-        return hit
-    kx = np.fft.fftfreq(2 * grid.nx, d=grid.dx)
-    ky = np.fft.fftfreq(2 * grid.ny, d=grid.dy)
-    kappa = kx[None, :] + 1j * ky[:, None]
-    safe = np.where(kappa == 0, 1.0, kappa)
-    sym = {
-        "beurling": np.where(kappa == 0, 0.0, np.conj(safe) / safe),
-        "cauchy": np.where(kappa == 0, 0.0, 1.0 / (1j * np.pi * safe)),
-    }
-    sym["beurling_adj"] = np.conj(sym["beurling"])
-    if len(_symbol_cache) >= 8:
-        _symbol_cache.pop(next(iter(_symbol_cache)))
-    _symbol_cache[key] = sym
+@lru_cache(maxsize=8)
+def _symbol(shape: tuple, dx: float, dy: float, kind: str) -> np.ndarray:
+    """Frequency multiplier `kind` on a torus of `shape` samples spaced
+    dx, dy; the zero mode is 0.  Built in place, one kind at a time."""
+    ny, nx = shape
+    kx = np.fft.fftfreq(nx, d=dx)
+    ky = np.fft.fftfreq(ny, d=dy)
+    sym = kx[None, :] + 1j * ky[:, None]
+    sym[0, 0] = 1.0
+    if kind == "cauchy":
+        np.reciprocal(sym, out=sym)
+        sym /= 1j * np.pi
+    else:
+        # conj(kappa) / kappa = conj(kappa)^2 / |kappa|^2; the adjoint is
+        # its conjugate
+        norm2 = (kx * kx)[None, :] + (ky * ky)[:, None]
+        norm2[0, 0] = 1.0
+        if kind == "beurling":
+            np.conjugate(sym, out=sym)
+        sym *= sym
+        sym /= norm2
+    sym[0, 0] = 0.0
     return sym
 
 
-def _apply_multiplier(data: np.ndarray, grid: GridSpec, kind: str) -> np.ndarray:
-    sym = _padded_symbols(grid)[kind]
+def _apply_multiplier(
+    buf: np.ndarray, data: np.ndarray, grid: GridSpec, kind: str, overwrite: bool
+) -> np.ndarray:
+    """Multiplier `kind` applied to data on the torus of buf's shape, with
+    the sample spacing of grid.
+
+    data is written into the corner of buf, which must be zero elsewhere;
+    buf stays that way for reuse unless overwrite is set.  Returns the
+    data-shaped corner of the result, a view."""
     ny, nx = data.shape
-    buf = np.zeros((2 * ny, 2 * nx), dtype=np.complex128)
     buf[:ny, :nx] = data
     workers = thread_count()
-    out = sfft.ifft2(sfft.fft2(buf, workers=workers) * sym, workers=workers)
-    return np.ascontiguousarray(out[:ny, :nx])
+    spec = sfft.fft2(buf, workers=workers, overwrite_x=overwrite)
+    spec *= _symbol(buf.shape, grid.dx, grid.dy, kind)
+    return sfft.ifft2(spec, workers=workers, overwrite_x=True)[:ny, :nx]
+
+
+def _padded_transform(data: np.ndarray, grid: GridSpec, kind: str) -> np.ndarray:
+    """Multiplier `kind` on the grid zero-padded to twice its side."""
+    buf = np.zeros((2 * grid.ny, 2 * grid.nx), dtype=np.complex128)
+    return np.ascontiguousarray(_apply_multiplier(buf, data, grid, kind, overwrite=True))
+
+
+def _torus_mean(h: ComplexField) -> complex:
+    """Mean of h over the padded torus of the public transforms."""
+    return complex(h.data.sum() / (4 * h.grid.nx * h.grid.ny))
 
 
 def _check_boundary_support(h: ComplexField) -> None:
@@ -146,17 +181,16 @@ def cauchy_transform(h: ComplexField) -> ComplexField:
     that term the output of compactly supported data is off by a linear
     deficit at interior points.  h must vanish near the grid boundary."""
     _check_boundary_support(h)
-    g = h.grid
-    a = complex(h.data.sum() / (4 * g.nx * g.ny))
-    out = _apply_multiplier(h.data, g, "cauchy") + a * np.conj(g.zz())
-    return ComplexField(g, out)
+    out = _padded_transform(h.data, h.grid, "cauchy")
+    out += _torus_mean(h) * np.conj(h.grid.zz())
+    return ComplexField(h.grid, out)
 
 
 def beurling_transform(h: ComplexField) -> ComplexField:
     """Beurling transform: carries dbar g to d g for compactly supported
     smooth g; an L2 contraction in this discretization."""
     _check_boundary_support(h)
-    return ComplexField(h.grid, _apply_multiplier(h.data, h.grid, "beurling"))
+    return ComplexField(h.grid, _padded_transform(h.data, h.grid, "beurling"))
 
 
 @dataclass(frozen=True)
@@ -171,6 +205,8 @@ class SolveConfig:
         g = self.grid
         if g.x_min > -1.5 or g.x_max < 1.5 or g.y_min > -1.5 or g.y_max < 1.5:
             raise ValueError("grid must contain [-L, L]^2 with L >= 1.5")
+        if g.dx != g.dy:
+            raise ValueError("grid cells must be square (dx == dy)")
         if not (self.fix_tol > 0.0):
             raise ValueError("fix_tol must be positive")
         if self.max_iter < 1:
@@ -231,6 +267,44 @@ def _retained_mask(grid: GridSpec, spec: MuSpec, radius: float = 0.95) -> np.nda
     return keep
 
 
+def _support_box(data: np.ndarray) -> tuple:
+    """Slices of the bounding box of the nonzero samples (the whole grid
+    when there are none)."""
+    rows = np.flatnonzero(data.any(axis=1))
+    cols = np.flatnonzero(data.any(axis=0))
+    if rows.size == 0:
+        return slice(None), slice(None)
+    return slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
+
+
+def _fixed_point(mu: np.ndarray, z: np.ndarray, grid: GridSpec, cfg: SolveConfig):
+    """Neumann iteration h <- mu S(h) + mu on a box holding supp mu, with z
+    the box's coordinates.  Returns (h, iterations, last update, converged).
+
+    S runs on a square torus of side about twice the box side, plus the
+    leading lattice term of the torus kernel (see the module docstring)."""
+    side = sfft.next_fast_len(2 * max(mu.shape))
+    buf = np.zeros((side, side), dtype=np.complex128)
+    lattice = 3.0 * G4_SQUARE_LATTICE / (math.pi * (side * grid.dx) ** 4)
+    z1 = z.ravel()
+    z2 = z1 * z1
+    weight = math.sqrt(grid.cell_area)
+    h = mu.copy()
+    delta = math.inf
+    iterations = 0
+    for iterations in range(1, cfg.max_iter + 1):
+        s_h = _apply_multiplier(buf, h, grid, "beurling", overwrite=False)
+        flat = h.ravel()
+        m0, m1, m2 = (grid.cell_area * v for v in (flat.sum(), z1 @ flat, z2 @ flat))
+        s_h += lattice * ((m0 * z - 2.0 * m1) * z + m2)
+        h_new = mu * s_h + mu
+        delta = float(np.linalg.norm(h_new - h)) * weight
+        h = h_new
+        if delta <= cfg.fix_tol:
+            return h, iterations, delta, True
+    return h, iterations, delta, False
+
+
 def solve_principal(mu: MuSpec, cfg: SolveConfig | None = None) -> SolveResult:
     """Principal solution of f_zbar = mu f_z, normalized to look like the
     identity far from the support.
@@ -242,27 +316,18 @@ def solve_principal(mu: MuSpec, cfg: SolveConfig | None = None) -> SolveResult:
     """
     cfg = cfg or SolveConfig()
     grid = cfg.grid
-    t0 = time.time()
+    t0 = time.perf_counter()
     mu_data = _sample_mu(mu, grid, cfg)
     sup = float(np.max(np.abs(mu_data)))
     if sup >= 1.0 - 1e-9:
         raise ContractionError(f"ess-sup |mu| = {sup:.12f} is not below 1")
-    h = mu_data.copy()
-    weight = math.sqrt(grid.cell_area)
-    delta = math.inf
-    converged = False
-    iterations = 0
-    for iterations in range(1, cfg.max_iter + 1):
-        h_new = mu_data * _apply_multiplier(h, grid, "beurling") + mu_data
-        delta = float(np.linalg.norm(h_new - h)) * weight
-        h = h_new
-        if delta <= cfg.fix_tol:
-            converged = True
-            break
-    zz = grid.zz()
-    a = complex(h.sum() / (4 * grid.nx * grid.ny))
-    f_data = zz + a * np.conj(zz) + _apply_multiplier(h, grid, "cauchy")
-    f = ComplexField(grid, f_data)
+    box = _support_box(mu_data)
+    h = np.zeros_like(mu_data)
+    h[box], iterations, delta, converged = _fixed_point(
+        mu_data[box], grid.zz()[box], grid, cfg
+    )
+    h_field = ComplexField(grid, h)
+    f = ComplexField(grid, grid.zz() + cauchy_transform(h_field).data)
     if not converged:
         raise SolveNonConvergence(iterations, delta, f)
     f_z, f_zbar = wirtinger_derivatives(f)
@@ -277,9 +342,9 @@ def solve_principal(mu: MuSpec, cfg: SolveConfig | None = None) -> SolveResult:
         iterations=iterations,
         mu_used=mu,
         mu_field=ComplexField(grid, mu_data),
-        mean_term=a,
+        mean_term=_torus_mean(h_field),
         final_delta=delta,
-        solve_seconds=time.time() - t0,
+        solve_seconds=time.perf_counter() - t0,
         config=cfg,
     )
 
@@ -308,13 +373,10 @@ def sup_distance(a: ComplexField, b: ComplexField, radius: float = 0.9) -> float
     return float(np.max(np.abs(a.data - b.data)[mask]))
 
 
+@lru_cache(maxsize=8)
 def _disk_cell_weights(grid: GridSpec, subsample: int = 4) -> np.ndarray:
     """Fraction of each cell inside the unit disk (subsampled at partial
     cells); cached per grid."""
-    key = (grid.nx, grid.ny, grid.dx, grid.dy, grid.x_min, grid.y_min, subsample)
-    hit = _weights_cache.get(key)
-    if hit is not None:
-        return hit
     zz = grid.zz()
     r = np.abs(zz)
     half_diag = 0.5 * math.hypot(grid.dx, grid.dy)
@@ -327,13 +389,7 @@ def _disk_cell_weights(grid: GridSpec, subsample: int = 4) -> np.ndarray:
         ox, oy = np.meshgrid(offs * grid.dx, offs * grid.dy)
         pts = zz[iy, ix][:, None] + (ox + 1j * oy).ravel()[None, :]
         w[iy, ix] = (np.abs(pts) <= 1.0).mean(axis=1)
-    if len(_weights_cache) >= 8:
-        _weights_cache.pop(next(iter(_weights_cache)))
-    _weights_cache[key] = w
     return w
-
-
-_weights_cache: dict = {}
 
 
 def grid_kip_integral(res: SolveResult, order_p: float, subsample: int = 4) -> float:
@@ -447,8 +503,8 @@ def beurling_norm_estimate(
     v /= np.linalg.norm(v)
     est = 0.0
     for _ in range(iterations):
-        w = _apply_multiplier(v, grid, "beurling")
-        back = _apply_multiplier(w, grid, "beurling_adj")
+        w = _padded_transform(v, grid, "beurling")
+        back = _padded_transform(w, grid, "beurling_adj")
         back = np.where(mask, back, 0.0)
         lam = float(np.linalg.norm(back))
         est = math.sqrt(lam)

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from beltrami_lab import solver
 from beltrami_lab.dilatation import MuSpec, truncate_mu
 from beltrami_lab.numerics import ComplexField, GridSpec, wirtinger_derivatives
 from beltrami_lab.solver import (
+    G4_SQUARE_LATTICE,
     ContractionError,
     PaddingError,
     SolveConfig,
@@ -123,7 +125,7 @@ class TestSolvePrincipal:
         res = solve_principal(MuSpec.constant(0.0), cfg)
         zz = cfg.grid.zz()
         assert res.iterations == 1
-        assert np.max(np.abs(res.f.data - zz)) < 1e-10
+        assert np.array_equal(res.f.data, zz)
         assert res.residual_linf_on_disk < 1e-10
 
     def test_constant_mu_closed_form(self):
@@ -174,6 +176,56 @@ class TestSolvePrincipal:
     def test_grid_must_cover_padded_disk(self):
         with pytest.raises(ValueError):
             SolveConfig(grid=GridSpec.square(64, 1.2))
+
+    def test_grid_cells_must_be_square(self):
+        # the lattice correction assumes a square period lattice
+        g = GridSpec(nx=64, ny=64, x_min=-2.0, y_min=-2.0, dx=4.0 / 63, dy=4.1 / 63)
+        with pytest.raises(ValueError):
+            SolveConfig(grid=g)
+
+    def test_lattice_correction_matches_wide_torus(self, monkeypatch):
+        # reference: the same Neumann loop through the public Beurling
+        # transform on a grid 128 cells wider on each side, whose padded
+        # torus is about 4x the solver's support-box torus; both sides share
+        # the Cauchy step so only the fixed point is compared
+        g = GridSpec.square(256, 2.0)
+        pad = 128
+        wide = GridSpec(g.nx + 2 * pad, g.ny + 2 * pad, g.x_min - pad * g.dx,
+                        g.y_min - pad * g.dy, g.dx, g.dy)
+
+        def bump(grid):
+            zz = grid.zz()
+            val = 0.6 * np.exp(-np.abs(zz - (0.35 + 0.2j)) ** 2 / 0.08)
+            return np.where(np.abs(zz) < 0.95, val, 0.0)
+
+        spec = MuSpec.from_grid(ComplexField(g, bump(g)))
+        cfg = SolveConfig(grid=g)
+        mu = bump(wide)
+        h = mu.copy()
+        for _ in range(cfg.max_iter):
+            h_new = mu * beurling_transform(ComplexField(wide, h)).data + mu
+            delta = np.linalg.norm(h_new - h) * g.dx
+            h = h_new
+            if delta <= cfg.fix_tol:
+                break
+        h_ref = ComplexField(g, h[pad:pad + g.ny, pad:pad + g.nx])
+        f_ref = g.zz() + cauchy_transform(h_ref).data
+        mask = np.abs(g.zz()) <= 0.9
+
+        def error():
+            return np.max(np.abs(solve_principal(spec, cfg).f.data - f_ref)[mask])
+
+        assert error() <= 1e-6
+        monkeypatch.setattr(solver, "G4_SQUARE_LATTICE", 0.0)
+        assert error() > 1e-6
+
+    def test_g4_matches_square_lattice_sum(self):
+        # sum' (a + ib)^-4 over |a|, |b| <= 400; the tail is O(1/N^2)
+        n = 400
+        a = np.arange(-n, n + 1)
+        lam = (a[None, :] + 1j * a[:, None]).ravel()
+        lam = lam[lam != 0]
+        assert np.sum(lam ** -4.0) == pytest.approx(G4_SQUARE_LATTICE, abs=1e-5)
 
     def test_solution_dilatation_recovery(self):
         # finite differences of the solved map reproduce the capped field
