@@ -21,7 +21,6 @@ from .radial import (
     RadialWeight,
     inverse_poletsky_check,
     lehto_integral,
-    rho_profile,
 )
 
 __all__ = [
@@ -39,5 +38,4 @@ __all__ = [
     "RadialWeight",
     "inverse_poletsky_check",
     "lehto_integral",
-    "rho_profile",
 ]

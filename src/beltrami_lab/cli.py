@@ -13,28 +13,32 @@ Every run writes ``<command>.summary.json`` under --out.  CSV artifacts use
 17 significant digits, '.' decimal separator, ',' field separator, and LF
 line endings; CFLD field dumps are raw little-endian float64 pairs behind a
 two-line ASCII header.  Reruns with identical flags and seed are
-byte-identical (timings live only in the JSON).  Exit status: 0 all checks
-passed, 1 a check failed, 2 invalid config or runtime error.
+byte-identical (timings live only in the JSON).  The JSON is strict: a
+non-finite float is written as null and listed in the top-level
+"non_finite" map, from its JSON pointer to "nan", "inf" or "-inf".  Exit
+status: 0 all checks passed, 1 a check failed, 2 invalid config or runtime
+error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import __version__
 from .dilatation import (
+    FAMILIES,
     MuSpec,
     build_dilatation_report,
-    example3_image_weight,
-    example4_image_weight,
-    l1_norm,
+    check_level,
+    check_radii,
     named_map,
     truncate_mu,
 )
@@ -43,57 +47,47 @@ from .radial import (
     Example2Profile,
     IdentityProfile,
     LimitStretchProfile,
-    RadialWeight,
+    NumericProfile,
+    check_order_p,
     example1_weight,
     inverse_poletsky_check,
     power_weight,
-    rho_profile,
     unit_weight,
 )
-from .solver import SolveConfig, residual_report, solve_principal, truncation_scheme
+from .solver import (
+    SolveConfig,
+    check_k_schedule,
+    residual_report,
+    solve_principal,
+    truncation_scheme,
+)
 from .verify import HolderConfig, holder_scan
 
-__all__ = ["main", "parse_config", "run_command", "dump_field", "read_field", "RunConfig"]
+__all__ = ["main", "parse_config", "run_command", "dump_field", "read_field"]
 
 
 class ConfigError(ValueError):
     """Invalid run configuration; the message lists every bad field."""
 
 
-@dataclass
-class RunConfig:
-    command: str
-    mu: str = "const:0.3"
-    alpha: float = 0.5
-    k: float | None = None
-    k_schedule: tuple = (4.0, 8.0, 16.0, 32.0, 64.0)
-    order_p: float = 1.5
-    bound: str = "auto"
-    map_name: str = "example3"
-    profile: str = "example2"
-    n: int = 2
-    m: float = 2.0
-    pairs: int = 2000
-    scale_range: tuple = (3, 14)
-    compact_radius: float = 0.75
-    weight: str = "auto"
-    scan_radii: tuple = ()
-    grid_n: int = 512
-    half_width: float = 2.0
-    fix_tol: float = 1e-10
-    max_iter: int = 200
-    residual_tol: float | None = None
-    out_dir: str = "out"
-    seed: int = 0
-    dump_fields: bool = True
-
-
+# --weight names: weight in dimension n (the image weights are planar)
 _WEIGHTS = {
-    "unit": lambda cfg: unit_weight(cfg.n),
-    "power": lambda cfg: power_weight(cfg.n),
-    "example1": lambda cfg: example1_weight(cfg.n),
-    "example3-image": lambda cfg: example3_image_weight(cfg.alpha),
-    "example4-image": lambda cfg: example4_image_weight(),
+    "unit": lambda n, alpha: unit_weight(n),
+    "power": lambda n, alpha: power_weight(n),
+    "example1": lambda n, alpha: example1_weight(n),
+    **{
+        f"{name}-image": (lambda n, alpha, fam=fam: fam.image_weight(alpha))
+        for name, fam in FAMILIES.items()
+    },
+}
+
+# radial --profile names: (profile from n, m and the weight, the weight's
+# name, or None to take --weight)
+_PROFILES = {
+    "identity": (lambda n, m, w: IdentityProfile(n), "unit"),
+    "example2": (lambda n, m, w: Example2Profile(n, m), "power"),
+    "example4-limit": (lambda n, m, w: LimitStretchProfile(n), "power"),
+    "numeric": (lambda n, m, w: NumericProfile(w), None),
 }
 
 
@@ -159,66 +153,70 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--out", default="out", help="output directory")
+        p.add_argument("--out", default="out", dest="out_dir", help="output directory")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--config", default=None, help="JSON file mirroring flags")
 
+    def field(p, mu):
+        p.add_argument("--mu", default=mu,
+                       help="const:C, " + ", ".join(FAMILIES) + ", or grid:FILE.cfld")
+        p.add_argument("--alpha", type=float, default=0.5)
+
+    def solver(p):
+        p.add_argument("--grid", type=int, default=512, dest="grid_n")
+        p.add_argument("--half-width", type=float, default=2.0)
+        p.add_argument("--tol", type=float, default=1e-10, dest="fix_tol")
+        p.add_argument("--max-iter", type=int, default=200)
+
+    weight_help = "auto, none, or one of: " + ", ".join(sorted(_WEIGHTS))
+
     ps = sub.add_parser("solve", help="principal solution for a dilatation")
-    ps.add_argument("--mu", default="const:0.3",
-                    help="const:C, example3, example4, or grid:FILE.cfld")
-    ps.add_argument("--alpha", type=float, default=0.5)
+    field(ps, "const:0.3")
     ps.add_argument("--k", type=float, default=None, help="truncation level")
-    ps.add_argument("--grid", type=int, default=512)
-    ps.add_argument("--half-width", type=float, default=2.0)
-    ps.add_argument("--tol", type=float, default=1e-10)
-    ps.add_argument("--max-iter", type=int, default=200)
+    solver(ps)
     ps.add_argument("--residual-tol", type=float, default=None,
                     help="override the automatic residual check threshold")
-    ps.add_argument("--no-dump", action="store_true")
+    ps.add_argument("--no-dump", action="store_false", dest="dump_fields")
     common(ps)
 
     pt = sub.add_parser("truncate", help="truncation scheme over a K-cap schedule")
-    pt.add_argument("--mu", default="example4")
-    pt.add_argument("--alpha", type=float, default=0.5)
+    field(pt, "example4")
     pt.add_argument("--p", type=float, default=1.5, dest="order_p")
-    pt.add_argument("--k", default="4,8,16,32,64", help="comma-separated caps")
+    pt.add_argument("--k", default="4,8,16,32,64", dest="k_schedule",
+                    help="comma-separated caps")
     pt.add_argument("--bound", default="auto",
-                    help="'auto' (pi + 2pi/(2-p)), 'none', or a number")
-    pt.add_argument("--grid", type=int, default=512)
-    pt.add_argument("--half-width", type=float, default=2.0)
-    pt.add_argument("--tol", type=float, default=1e-10)
-    pt.add_argument("--max-iter", type=int, default=200)
+                    help="'auto' (pi + 2pi/(2-p); no check at p = 2), 'none', "
+                         "or a number")
+    solver(pt)
     common(pt)
 
     ph = sub.add_parser("holder", help="log-continuity scan of a closed-form map")
     ph.add_argument("--map", default="example3", dest="map_name",
-                    choices=["identity", "example3", "example4", "example2"])
+                    choices=["identity", *FAMILIES, "example2"])
     ph.add_argument("--alpha", type=float, default=0.5)
     ph.add_argument("--k", type=float, default=None)
     ph.add_argument("--m", type=float, default=2.0)
     ph.add_argument("--pairs", type=int, default=2000)
-    ph.add_argument("--scales", default="3:14",
+    ph.add_argument("--scales", default="3:14", dest="scale_range", metavar="LO:HI",
                     help="dyadic exponent range lo:hi, scales 2^-lo .. 2^-hi")
     ph.add_argument("--compact-radius", type=float, default=0.75)
-    ph.add_argument("--weight", default="auto",
-                    help="auto, none, or one of: " + ", ".join(sorted(_WEIGHTS)))
+    ph.add_argument("--weight", default="auto", help=weight_help)
     common(ph)
 
     pr = sub.add_parser("radial", help="profile table and modulus spot checks")
-    pr.add_argument("--profile", default="example2",
-                    choices=["identity", "example2", "example4-limit", "numeric"])
+    pr.add_argument("--profile", default="example2", choices=list(_PROFILES))
     pr.add_argument("--n", type=int, default=2)
     pr.add_argument("--m", type=float, default=2.0)
-    pr.add_argument("--weight", default="power", help="weight for numeric profiles")
+    pr.add_argument("--weight", default="power",
+                    help="weight for numeric profiles: " + ", ".join(sorted(_WEIGHTS)))
     pr.add_argument("--alpha", type=float, default=0.5)
     pr.add_argument("--pairs", type=int, default=20, help="random radius pairs")
     common(pr)
 
     pd = sub.add_parser("dilatation", help="dilatation diagnostics")
-    pd.add_argument("--mu", default="example3")
-    pd.add_argument("--alpha", type=float, default=0.5)
+    field(pd, "example3")
     pd.add_argument("--k", type=float, default=None)
-    pd.add_argument("--weight", default="auto")
+    pd.add_argument("--weight", default="auto", help=weight_help)
     pd.add_argument("--scan-radii", default="",
                     help="comma-separated radii for the integrability scan")
     common(pd)
@@ -258,209 +256,198 @@ def _inject_config_file(argv: list) -> list:
     return argv[:1] + extra + argv[1:]
 
 
-def _parse_mu(text: str, alpha: float, errors: list) -> MuSpec | None:
-    try:
-        if text.startswith("const:"):
-            return MuSpec.constant(complex(text[6:]))
-        if text == "example3":
-            return MuSpec.example3(alpha)
-        if text == "example4":
-            return MuSpec.example4()
-        if text.startswith("grid:"):
-            return MuSpec.from_grid(read_field(text[5:]))
-    except (ValueError, OSError) as exc:
-        errors.append(f"--mu/--alpha: {exc}")
-        return None
-    errors.append(f"--mu: unknown dilatation {text!r}")
+def _numbers(text: str) -> tuple:
+    return tuple(float(s) for s in text.split(",") if s.strip())
+
+
+def _scale_range(text: str) -> tuple:
+    lo, hi = (int(s) for s in text.split(":"))
+    return lo, hi
+
+
+def _parse_mu(text: str, alpha: float) -> MuSpec:
+    if text.startswith("const:"):
+        return MuSpec.constant(complex(text[6:]))
+    if text.startswith("grid:"):
+        return MuSpec.from_grid(read_field(text[5:]))
+    if text in FAMILIES:
+        return MuSpec(kind=text, alpha=FAMILIES[text].alpha_of(alpha))
+    raise ValueError(f"unknown dilatation {text!r}")
+
+
+def _weight(name: str, n: int, alpha: float, family: str | None = None):
+    """--weight: a name of _WEIGHTS, or, given the run's map or field, 'none'
+    or 'auto' (the image weight of a table family, else no weight)."""
+    if family is not None and name in ("auto", "none"):
+        auto = name == "auto" and family in FAMILIES
+        return FAMILIES[family].image_weight(alpha) if auto else None
+    if name not in _WEIGHTS:
+        raise ValueError(f"unknown weight {name!r}")
+    return _WEIGHTS[name](n, alpha)
+
+
+def _kip_bound(text: str, order_p: float) -> float | None:
+    """--bound: a number, 'none', or 'auto', the bound pi + 2 pi/(2 - p),
+    which is finite only for p < 2 (no check at p = 2)."""
+    if text == "auto":
+        return math.pi + 2.0 * math.pi / (2.0 - order_p) if order_p < 2.0 else None
+    return None if text == "none" else float(text)
+
+
+def _solve_config(n=512, half_width=2.0, **fields) -> SolveConfig:
+    return SolveConfig(GridSpec.square(n, half_width), **fields)
+
+
+def _holder_config(compact_radius=HolderConfig.compact_radius, **fields) -> HolderConfig:
+    return HolderConfig(compact_radius, 1.0 - compact_radius, **fields)
+
+
+def _each_then_all(check, build, fields: dict):
+    """build(**values) from fields {flag: (keyword, value)}.  Each flag is
+    checked on its own first, the other keywords at build's defaults, and
+    the flags are named together only when their joint rule fails."""
+    alone = [check(flag, build, **{key: value}) for flag, (key, value) in fields.items()]
+    if all(obj is not None for obj in alone):
+        return check("/".join(fields), build, **dict(fields.values()))
     return None
 
 
-def parse_config(argv: list) -> RunConfig:
-    """Parse and validate argv (after the program name).  All invalid
-    fields are reported together in a single ConfigError."""
-    argv = _inject_config_file(list(argv))
-    ns = _build_parser().parse_args(argv)
-    errors: list[str] = []
-    cfg = RunConfig(command=ns.command)
-    cfg.out_dir = ns.out
-    cfg.seed = ns.seed
+def parse_config(argv: list) -> argparse.Namespace:
+    """Parse argv (after the program name) into the subcommand's flags plus,
+    under ``objects``, the library objects its run uses.
 
-    def positive(name, value, kind=float):
-        try:
-            v = kind(value)
-        except (TypeError, ValueError):
-            errors.append(f"--{name}: not a number: {value!r}")
-            return None
-        if v <= 0:
-            errors.append(f"--{name}: must be positive, got {value!r}")
-            return None
-        return v
+    Each flag is checked by the library rule that consumes it, and every
+    invalid flag is reported, tagged with its name, in a single ConfigError."""
+    cfg = _build_parser().parse_args(_inject_config_file(list(argv)))
+    cmd, obj, errors = cfg.command, {}, []
 
-    if ns.command in ("solve", "truncate", "dilatation"):
-        cfg.mu = ns.mu
-        cfg.alpha = ns.alpha
-        _parse_mu(ns.mu, ns.alpha, errors)
-    if ns.command in ("solve", "truncate"):
-        cfg.grid_n = ns.grid
-        cfg.half_width = ns.half_width
-        cfg.fix_tol = ns.tol
-        cfg.max_iter = ns.max_iter
-        if ns.grid < 8:
-            errors.append(f"--grid: need at least 8 points per side, got {ns.grid}")
-        if ns.half_width < 1.5:
-            errors.append("--half-width: must be >= 1.5 to pad the disk")
-        positive("tol", ns.tol)
-        if ns.max_iter < 1:
-            errors.append("--max-iter: must be >= 1")
-    if ns.command == "solve":
-        cfg.residual_tol = ns.residual_tol
-        cfg.dump_fields = not ns.no_dump
-        if ns.k is not None:
-            cfg.k = positive("k", ns.k)
-            if cfg.k is not None and cfg.k < 1.0:
-                errors.append("--k: truncation level must be >= 1")
-    if ns.command == "truncate":
+    def check(flag, build, *args, **kwargs):
         try:
-            ks = tuple(float(s) for s in str(ns.k).split(",") if s.strip())
-        except ValueError:
-            errors.append(f"--k: not a comma-separated number list: {ns.k!r}")
-            ks = ()
-        if ks and (any(x < 1 for x in ks) or any(b <= a for a, b in zip(ks, ks[1:]))):
-            errors.append(f"--k: schedule must be increasing levels >= 1: {ns.k!r}")
-        cfg.k_schedule = ks
-        cfg.order_p = ns.order_p
-        if not (1.0 < ns.order_p <= 2.0):
-            errors.append(f"--p: order must lie in (1, 2], got {ns.order_p}")
-        cfg.bound = str(ns.bound)
-        if cfg.bound not in ("auto", "none"):
-            try:
-                float(cfg.bound)
-            except ValueError:
-                errors.append(f"--bound: expected auto, none, or a number: {ns.bound!r}")
-    if ns.command == "holder":
-        cfg.map_name = ns.map_name
-        cfg.alpha = ns.alpha
-        cfg.k = ns.k
-        cfg.m = ns.m
-        cfg.pairs = ns.pairs
-        cfg.compact_radius = ns.compact_radius
-        cfg.weight = ns.weight
-        if ns.pairs < 1:
+            return build(*args, **kwargs)
+        except (ValueError, OSError) as exc:
+            errors.append(f"{flag}: {exc}")
+            return None
+
+    if cmd in ("solve", "truncate", "dilatation"):
+        obj["spec"] = check("--mu/--alpha", _parse_mu, cfg.mu, cfg.alpha)
+    if cmd in ("solve", "dilatation") and cfg.k is not None:
+        if check("--k", check_level, cfg.k) and obj["spec"] is not None:
+            obj["spec"] = truncate_mu(obj["spec"], cfg.k)
+    if cmd in ("solve", "truncate"):
+        obj["solve_cfg"] = _each_then_all(check, _solve_config, {
+            "--grid": ("n", cfg.grid_n),
+            "--half-width": ("half_width", cfg.half_width),
+            "--tol": ("fix_tol", cfg.fix_tol),
+            "--max-iter": ("max_iter", cfg.max_iter),
+        })
+    if cmd == "truncate":
+        cfg.k_schedule = check("--k", lambda: check_k_schedule(_numbers(cfg.k_schedule)))
+        check("--p", check_order_p, cfg.order_p)
+        obj["bound_M"] = check("--bound", _kip_bound, cfg.bound, cfg.order_p)
+    if cmd == "holder":
+        obj["fmap"] = _each_then_all(check, functools.partial(named_map, cfg.map_name), {
+            "--alpha": ("alpha", cfg.alpha), "--k": ("k", cfg.k), "--m": ("m", cfg.m),
+        })
+        cfg.scale_range = check("--scales", _scale_range, cfg.scale_range)
+        if cfg.scale_range:
+            lo, hi = cfg.scale_range
+            obj["holder_cfg"] = _each_then_all(check, _holder_config, {
+                "--compact-radius": ("compact_radius", cfg.compact_radius),
+                "--scales": ("dyadic_scales", tuple(2.0**-j for j in range(lo, hi + 1))),
+                "--pairs": ("pairs_per_scale", cfg.pairs),
+                "--seed": ("seed", cfg.seed),
+            })
+        obj["weight"] = check("--weight", _weight, cfg.weight, 2, cfg.alpha, cfg.map_name)
+    if cmd == "radial":
+        make, weight_name = _PROFILES[cfg.profile]
+        if cfg.pairs < 1:
             errors.append("--pairs: must be >= 1")
-        if not (0.0 < ns.compact_radius < 1.0):
-            errors.append("--compact-radius: must lie in (0, 1)")
-        if ns.map_name == "example3" and not (0.0 < ns.alpha < 2.0):
-            errors.append(f"--alpha: must satisfy 0 < alpha < 2, got {ns.alpha}")
-        if ns.k is not None and ns.k < 1.0:
-            errors.append("--k: truncation level must be >= 1")
-        if ns.map_name == "example2" and ns.m < 1.0:
-            errors.append("--m: slope parameter must be >= 1")
-        try:
-            lo, hi = (int(s) for s in ns.scales.split(":"))
-            if not (0 < lo < hi):
-                raise ValueError
-            cfg.scale_range = (lo, hi)
-        except ValueError:
-            errors.append(f"--scales: expected lo:hi with 0 < lo < hi, got {ns.scales!r}")
-        if ns.weight not in ("auto", "none") and ns.weight not in _WEIGHTS:
-            errors.append(f"--weight: unknown weight {ns.weight!r}")
-    if ns.command == "radial":
-        cfg.profile = ns.profile
-        cfg.n = ns.n
-        cfg.m = ns.m
-        cfg.weight = ns.weight
-        cfg.alpha = ns.alpha
-        cfg.pairs = ns.pairs
-        if ns.n < 2:
-            errors.append("--n: dimension must be >= 2")
-        if ns.profile == "example2" and ns.m < 1.0:
-            errors.append("--m: slope parameter must be >= 1")
-        if ns.profile == "numeric" and ns.weight not in _WEIGHTS:
-            errors.append(f"--weight: unknown weight {ns.weight!r}")
-        if ns.pairs < 1:
-            errors.append("--pairs: must be >= 1")
-    if ns.command == "dilatation":
-        cfg.weight = ns.weight
-        if ns.k is not None:
-            if ns.k < 1.0:
-                errors.append("--k: truncation level must be >= 1")
-            else:
-                cfg.k = float(ns.k)
-        if ns.weight not in ("auto", "none") and ns.weight not in _WEIGHTS:
-            errors.append(f"--weight: unknown weight {ns.weight!r}")
-        radii = ()
-        if ns.scan_radii.strip():
-            try:
-                radii = tuple(float(s) for s in ns.scan_radii.split(","))
-            except ValueError:
-                errors.append(f"--scan-radii: not a number list: {ns.scan_radii!r}")
-        if radii and any(r <= 0 for r in radii):
-            errors.append("--scan-radii: radii must be positive")
-        cfg.scan_radii = radii
+        if cfg.profile == "example2":
+            check("--m", Example2Profile, 2, cfg.m)
+        if check("--n", unit_weight, cfg.n):
+            obj["weight"] = check("--weight", _weight, weight_name or cfg.weight,
+                                  cfg.n, cfg.alpha)
+        if not errors:
+            obj["profile"] = check("--weight", make, cfg.n, cfg.m, obj["weight"])
+    if cmd == "dilatation":
+        radii = check("--scan-radii", _numbers, cfg.scan_radii)
+        cfg.scan_radii = check("--scan-radii", check_radii, radii) if radii else ()
+        obj["weight"] = check("--weight", _weight, cfg.weight, 2, cfg.alpha, cfg.mu)
     if errors:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))
+    cfg.objects = obj
     return cfg
 
 
-def _provenance(cfg: RunConfig, checks: dict) -> dict:
+def _non_finite_as_null(obj, pointer: str, non_finite: dict):
+    """obj with every non-finite float replaced by None and recorded in
+    non_finite under its JSON pointer."""
+    if isinstance(obj, dict):
+        return {
+            k: _non_finite_as_null(
+                v, pointer + "/" + str(k).replace("~", "~0").replace("/", "~1"),
+                non_finite,
+            )
+            for k, v in obj.items()
+        }
+    if isinstance(obj, (list, tuple)):
+        return [_non_finite_as_null(v, f"{pointer}/{i}", non_finite)
+                for i, v in enumerate(obj)]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        non_finite[pointer] = "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
+        return None
+    return obj
+
+
+def _write_json(path: str, doc: dict, non_finite: dict | None = None) -> None:
+    """Strict JSON: each non-finite float is written as null and listed in
+    the top-level "non_finite" map, JSON pointer -> "nan", "inf" or "-inf"."""
+    non_finite = dict(non_finite or {})
+    doc = _non_finite_as_null(doc, "", non_finite)
+    doc["non_finite"] = non_finite
+    with open(path, "w", newline="") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
+
+
+def _write_summary(cfg, results: dict, checks: dict, error: str | None = None) -> str:
     import scipy
 
-    return {
-        "package": "beltrami-lab",
-        "version": __version__,
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "config_echo": asdict(cfg),
-        "checks_run": sorted(checks),
-    }
-
-
-def _write_summary(cfg: RunConfig, results: dict, checks: dict,
-                   error: str | None = None) -> str:
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, f"{cfg.command}.summary.json")
     doc = {
         "command": cfg.command,
         "results": results,
         "checks": checks,
-        "provenance": _provenance(cfg, checks),
+        "provenance": {
+            "package": "beltrami-lab",
+            "version": __version__,
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            # the subcommand's own flags
+            "config_echo": {k: v for k, v in vars(cfg).items() if k != "objects"},
+            "checks_run": sorted(checks),
+        },
     }
     if error is not None:
         doc["error"] = error
-    with open(path, "w", newline="") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=True)
-        fh.write("\n")
+    _write_json(path, doc)
     return path
 
 
-def _mu_from_cfg(cfg: RunConfig) -> MuSpec:
-    errs: list[str] = []
-    spec = _parse_mu(cfg.mu, cfg.alpha, errs)
-    if spec is None:
-        raise ConfigError(errs[0])
-    if cfg.k is not None:
-        spec = truncate_mu(spec, cfg.k)
-    return spec
+def _check(passed, value, threshold=None) -> dict:
+    return {"passed": bool(passed), "value": value, "threshold": threshold}
 
 
-def _solve_cfg(cfg: RunConfig) -> SolveConfig:
-    return SolveConfig(
-        grid=GridSpec.square(cfg.grid_n, cfg.half_width),
-        fix_tol=cfg.fix_tol,
-        max_iter=cfg.max_iter,
-    )
-
-
-def _cmd_solve(cfg: RunConfig) -> tuple[dict, dict]:
-    spec = _mu_from_cfg(cfg)
-    res = solve_principal(spec, _solve_cfg(cfg))
+def _cmd_solve(cfg, spec: MuSpec, solve_cfg: SolveConfig) -> tuple[dict, dict]:
+    res = solve_principal(spec, solve_cfg)
     rep = residual_report(res)
     sup_mu = float(np.max(np.abs(res.mu_field.data)))
     if cfg.residual_tol is not None:
         threshold = cfg.residual_tol
     else:
         k_eff = (1.0 + sup_mu) / (1.0 - sup_mu)
-        threshold = max(10.0 * cfg.fix_tol, k_eff * res.f.grid.dx)
+        threshold = max(10.0 * solve_cfg.fix_tol, k_eff * res.f.grid.dx)
     results = {
         "iterations": res.iterations,
         "final_update_l2": res.final_delta,
@@ -471,29 +458,17 @@ def _cmd_solve(cfg: RunConfig) -> tuple[dict, dict]:
         "sup_mu_sampled": sup_mu,
         "solve_seconds": res.solve_seconds,
     }
-    checks = {
-        "residual_below_tol": {
-            "passed": bool(rep.linf <= threshold),
-            "value": rep.linf,
-            "threshold": threshold,
-        }
-    }
+    checks = {"residual_below_tol": _check(rep.linf <= threshold, rep.linf, threshold)}
     if cfg.dump_fields:
         dump_field(res.f, os.path.join(cfg.out_dir, "f.cfld"))
         dump_field(res.mu_field, os.path.join(cfg.out_dir, "mu.cfld"))
     return results, checks
 
 
-def _cmd_truncate(cfg: RunConfig) -> tuple[dict, dict]:
-    spec = _mu_from_cfg(cfg)
-    if cfg.bound == "auto":
-        bound = math.pi + 2.0 * math.pi / (2.0 - cfg.order_p)
-    elif cfg.bound == "none":
-        bound = None
-    else:
-        bound = float(cfg.bound)
-    run = truncation_scheme(spec, cfg.k_schedule, cfg.order_p, _solve_cfg(cfg),
-                            bound_M=bound)
+def _cmd_truncate(cfg, spec: MuSpec, solve_cfg: SolveConfig,
+                  bound_M: float | None) -> tuple[dict, dict]:
+    run = truncation_scheme(spec, cfg.k_schedule, cfg.order_p, solve_cfg,
+                            bound_M=bound_M)
     rows = []
     for i, (k, res) in enumerate(zip(run.k_schedule, run.per_k)):
         rows.append((
@@ -504,7 +479,6 @@ def _cmd_truncate(cfg: RunConfig) -> tuple[dict, dict]:
             run.bound_ok[i] if run.bound_ok else "",
             run.pairwise_sup_dist[i - 1] if i > 0 else "",
         ))
-    os.makedirs(cfg.out_dir, exist_ok=True)
     write_csv(
         os.path.join(cfg.out_dir, "truncate.csv"),
         ("k", "iterations", "residual_linf", "kip_integral", "bound_ok",
@@ -520,38 +494,14 @@ def _cmd_truncate(cfg: RunConfig) -> tuple[dict, dict]:
     }
     checks = {}
     if run.bound_ok is not None:
-        checks["kip_below_bound"] = {
-            "passed": bool(all(run.bound_ok)),
-            "value": max(run.KIp_integrals),
-            "threshold": run.bound_M,
-        }
+        checks["kip_below_bound"] = _check(all(run.bound_ok), max(run.KIp_integrals),
+                                           run.bound_M)
     return results, checks
 
 
-def _cmd_holder(cfg: RunConfig) -> tuple[dict, dict]:
-    f, branch = named_map(cfg.map_name, alpha=cfg.alpha, k=cfg.k, m=cfg.m)
-    lo, hi = cfg.scale_range
-    hcfg = HolderConfig(
-        compact_radius=cfg.compact_radius,
-        r0=1.0 - cfg.compact_radius,
-        dyadic_scales=tuple(2.0**-j for j in range(lo, hi + 1)),
-        pairs_per_scale=cfg.pairs,
-        seed=cfg.seed,
-    )
-    weight: RadialWeight | None
-    if cfg.weight == "auto":
-        if cfg.map_name == "example3":
-            weight = example3_image_weight(cfg.alpha)
-        elif cfg.map_name == "example4":
-            weight = example4_image_weight()
-        else:
-            weight = None
-    elif cfg.weight == "none":
-        weight = None
-    else:
-        weight = _WEIGHTS[cfg.weight](cfg)
-    rep = holder_scan(f, hcfg, Q=weight, branch_radii=branch)
-    os.makedirs(cfg.out_dir, exist_ok=True)
+def _cmd_holder(cfg, fmap: tuple, holder_cfg: HolderConfig, weight) -> tuple[dict, dict]:
+    f, branch = fmap
+    rep = holder_scan(f, holder_cfg, Q=weight, branch_radii=branch)
     write_csv(
         os.path.join(cfg.out_dir, "holder.csv"),
         ("scale", "max_product"),
@@ -563,34 +513,15 @@ def _cmd_holder(cfg: RunConfig) -> tuple[dict, dict]:
         "q_l1": rep.q_l1,
         "bounded": rep.bounded_flag,
     }
-    checks = {
-        "products_bounded": {
-            "passed": bool(rep.bounded_flag),
-            "value": max(rep.per_scale_max_product),
-            "threshold": None,
-        }
-    }
+    checks = {"products_bounded": _check(rep.bounded_flag, max(rep.per_scale_max_product))}
     return results, checks
 
 
-def _profile_from_cfg(cfg: RunConfig):
-    if cfg.profile == "identity":
-        return IdentityProfile(cfg.n), unit_weight(cfg.n)
-    if cfg.profile == "example2":
-        return Example2Profile(cfg.n, cfg.m), power_weight(cfg.n)
-    if cfg.profile == "example4-limit":
-        return LimitStretchProfile(cfg.n), power_weight(cfg.n)
-    weight = _WEIGHTS[cfg.weight](cfg)
-    return rho_profile(weight), weight
-
-
-def _cmd_radial(cfg: RunConfig) -> tuple[dict, dict]:
-    prof, weight = _profile_from_cfg(cfg)
+def _cmd_radial(cfg, profile, weight) -> tuple[dict, dict]:
     radii = np.linspace(0.01, 1.0, 100)
     rows = []
     for r in radii:
-        rows.append((float(r), prof.value(float(r)), prof.derivative(float(r))))
-    os.makedirs(cfg.out_dir, exist_ok=True)
+        rows.append((float(r), profile.value(float(r)), profile.derivative(float(r))))
     write_csv(os.path.join(cfg.out_dir, "profile.csv"),
               ("r", "rho", "rho_prime"), rows)
     rng = np.random.default_rng(cfg.seed)
@@ -599,11 +530,11 @@ def _cmd_radial(cfg: RunConfig) -> tuple[dict, dict]:
     # image radii must lie in the map's range, which starts at rho(0+) for
     # profiles that compress the origin; probing rho(0.05) bounds the floor
     # for every profile kind, numeric ones included
-    lo_image = min(max(0.05, prof.value(0.05) + 0.02), 0.85)
+    lo_image = min(max(0.05, profile.value(0.05) + 0.02), 0.85)
     for _ in range(cfg.pairs):
         r1 = float(rng.uniform(lo_image, 0.9))
         r2 = float(rng.uniform(r1 + 0.05, 1.0))
-        rep = inverse_poletsky_check(prof, weight, r1, r2)
+        rep = inverse_poletsky_check(profile, weight, r1, r2)
         all_hold &= rep.holds
         checks_rows.append((r1, r2, rep.lhs, rep.rhs, rep.holds))
     write_csv(os.path.join(cfg.out_dir, "poletsky.csv"),
@@ -612,31 +543,12 @@ def _cmd_radial(cfg: RunConfig) -> tuple[dict, dict]:
         "profile": cfg.profile,
         "n": cfg.n,
         "pairs": cfg.pairs,
-        "rho_at_half": prof.value(0.5),
+        "rho_at_half": profile.value(0.5),
     }
-    checks = {
-        "modulus_inequality": {
-            "passed": bool(all_hold),
-            "value": cfg.pairs,
-            "threshold": None,
-        }
-    }
-    return results, checks
+    return results, {"modulus_inequality": _check(all_hold, cfg.pairs)}
 
 
-def _cmd_dilatation(cfg: RunConfig) -> tuple[dict, dict]:
-    spec = _mu_from_cfg(cfg)
-    if cfg.weight == "auto":
-        if spec.kind == "example3":
-            weight = example3_image_weight(cfg.alpha)
-        elif spec.kind == "example4":
-            weight = example4_image_weight()
-        else:
-            weight = None
-    elif cfg.weight == "none":
-        weight = None
-    else:
-        weight = _WEIGHTS[cfg.weight](cfg)
+def _cmd_dilatation(cfg, spec: MuSpec, weight) -> tuple[dict, dict]:
     rep = build_dilatation_report(spec, weight,
                                   cfg.scan_radii if cfg.scan_radii else None)
     results = {
@@ -650,7 +562,6 @@ def _cmd_dilatation(cfg: RunConfig) -> tuple[dict, dict]:
         results["l1_divergent"] = rep.l1.divergent
         results["l1_partial"] = rep.l1.partial
     if rep.scan is not None:
-        os.makedirs(cfg.out_dir, exist_ok=True)
         write_csv(
             os.path.join(cfg.out_dir, "scan.csv"),
             ("radius", "spherical_mean", "finite"),
@@ -660,9 +571,8 @@ def _cmd_dilatation(cfg: RunConfig) -> tuple[dict, dict]:
     return results, {}
 
 
-def _cmd_report(cfg: RunConfig) -> tuple[dict, dict]:
-    merged = {}
-    checks = {}
+def _cmd_report(cfg) -> tuple[dict, dict]:
+    merged, checks, non_finite = {}, {}, {}
     try:
         names = sorted(os.listdir(cfg.out_dir))
     except OSError as exc:
@@ -672,13 +582,19 @@ def _cmd_report(cfg: RunConfig) -> tuple[dict, dict]:
             continue
         with open(os.path.join(cfg.out_dir, name)) as fh:
             doc = json.load(fh)
-        merged[doc.get("command", name)] = doc.get("results", {})
+        cmd = doc.get("command", name)
+        merged[cmd] = doc.get("results", {})
         for cname, c in doc.get("checks", {}).items():
-            checks[f"{doc.get('command', name)}.{cname}"] = c
-    path = os.path.join(cfg.out_dir, "report.json")
-    with open(path, "w", newline="") as fh:
-        json.dump({"merged": merged, "checks": checks}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+            checks[f"{cmd}.{cname}"] = c
+        # the values written as null keep their flags, at their merged place
+        for pointer, kind in doc.get("non_finite", {}).items():
+            top, _, rest = pointer[1:].partition("/")
+            if top == "results":
+                non_finite[f"/merged/{cmd}/{rest}"] = kind
+            elif top == "checks":
+                non_finite[f"/checks/{cmd}.{rest}"] = kind
+    _write_json(os.path.join(cfg.out_dir, "report.json"),
+                {"merged": merged, "checks": checks}, non_finite)
     return {"merged_commands": sorted(merged)}, checks
 
 
@@ -692,28 +608,18 @@ _COMMANDS = {
 }
 
 
-def _try_write_summary(cfg: RunConfig, error: str) -> None:
-    # the summary is best effort on the failure path; the output directory
-    # itself may be the thing that is broken
-    try:
-        _write_summary(cfg, {}, {}, error=error)
-    except OSError:
-        pass
-
-
-def run_command(cfg: RunConfig) -> int:
-    """Execute a validated config; returns the process exit status and
-    always leaves a summary JSON in the output directory."""
+def run_command(cfg: argparse.Namespace) -> int:
+    """Execute a config from parse_config; returns the process exit status
+    and always leaves a summary JSON in the output directory."""
     try:
         os.makedirs(cfg.out_dir, exist_ok=True)
-        results, checks = _COMMANDS[cfg.command](cfg)
-    except (ConfigError,) as exc:
-        _try_write_summary(cfg, error=str(exc))
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        results, checks = _COMMANDS[cfg.command](cfg, **cfg.objects)
     except Exception as exc:  # noqa: BLE001 - surfaced in the summary
-        _try_write_summary(cfg, error=f"{type(exc).__name__}: {exc}")
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        error = str(exc) if isinstance(exc, ConfigError) else f"{type(exc).__name__}: {exc}"
+        # best effort: the output directory itself may be what is broken
+        with contextlib.suppress(OSError):
+            _write_summary(cfg, {}, {}, error=error)
+        print(f"error: {error}", file=sys.stderr)
         return 2
     path = _write_summary(cfg, results, checks)
     failed = [name for name, c in checks.items() if not c.get("passed", True)]

@@ -1,8 +1,14 @@
 """Complex dilatation fields, truncation, and dilatation functionals.
 
-The registry holds two degenerate dilatation families supported in the
-unit disk (zero outside), both radial in modulus with an e^{2i theta}
-phase:
+The family table ``FAMILIES`` holds the degenerate dilatation fields that
+have closed-form solutions.  Each is supported in the unit disk (zero
+outside), radial in modulus with an e^{2i theta} phase, and loses
+ellipticity (|mu| -> 1) on an onset circle.  Its record (``Family``) holds
+mu, the radius of the disk that the cap at level k empties (k = inf gives
+the onset circle), the circles where |mu| jumps, the closed-form solution
+of the capped equation and its inverse, the image-side weight, and the
+rule for the parameter alpha.  MuSpec, named_map and the command line look
+families up in the table, so a new family is one entry:
 
 * ``example3``: |mu| climbs to 1 at the circle |z| = 1/2, parametrized by
   0 < alpha < 2; the maximal dilatation is K(z) = 2|z| / (alpha (2|z|-1)).
@@ -10,9 +16,9 @@ phase:
 
 Truncation at level k zeroes mu wherever K exceeds k, which for these
 families empties a concentric disk; the resulting fields are uniformly
-elliptic (ess sup |mu_k| <= (k-1)/(k+1)) and feed the solver.  Closed-form
-solutions for both families and their inverses live here too, as grid-free
-oracles for everything the solver produces.
+elliptic (ess sup |mu_k| <= (k-1)/(k+1)) and feed the solver.  The
+closed-form solutions and their inverses are grid-free oracles for
+everything the solver produces.
 """
 
 from __future__ import annotations
@@ -31,19 +37,27 @@ from .numerics import (
     adaptive_integral_1d,
     unit_sphere_area,
 )
-from .radial import Example2Profile, RadialWeight, power_weight, spherical_mean
+from .radial import (
+    Example2Profile,
+    RadialWeight,
+    check_order_p,
+    power_weight,
+    spherical_mean,
+)
 
 __all__ = [
     "mu_example3",
     "mu_example4",
     "MuSpec",
     "K_mu",
+    "check_level",
     "truncate_mu",
     "mu_of_inverse",
     "K_Ip_field",
     "L1Report",
     "l1_norm",
     "IntegrabilityScan",
+    "check_radii",
     "spherical_integrability_scan",
     "DilatationReport",
     "build_dilatation_report",
@@ -55,6 +69,8 @@ __all__ = [
     "example4_truncation_radius",
     "example3_image_weight",
     "example4_image_weight",
+    "Family",
+    "FAMILIES",
     "named_map",
 ]
 
@@ -63,63 +79,81 @@ def _as_complex(z):
     return np.asarray(z, dtype=np.complex128)
 
 
+def check_level(k: float) -> float:
+    """A truncation level: k >= 1, with k = inf meaning no cap."""
+    if not (k >= 1.0):
+        raise ValueError("truncation level must be >= 1")
+    return float(k)
+
+
+def _check_alpha3(alpha) -> None:
+    if alpha is None or not (0.0 < alpha < 2.0):
+        raise ValueError("alpha must lie in (0, 2)")
+
+
+def _radial_branches(z, cut, outer, inner=None, name="map", open_disk=False):
+    """outer(z, |z|) for |z| > cut and inner(z) (zero when None) for
+    |z| <= cut, on the closed unit disk, or the open one with open_disk."""
+    zz = _as_complex(z)
+    r = np.abs(zz)
+    if np.any(r >= 1.0) if open_disk else np.any(r > 1.0 + 1e-12):
+        disk = "open" if open_disk else "closed"
+        raise ValueError(f"{name} is defined on the {disk} unit disk")
+    out = np.zeros_like(zz)
+    far = r > cut
+    if inner is not None:
+        out[~far] = inner(zz[~far])
+    out[far] = outer(zz[far], r[far])
+    return out if out.shape else complex(out)
+
+
 def mu_example3(z, alpha: float):
     """Registry example 3 dilatation on the open unit disk.
 
     Zero for |z| <= 1/2; on the annulus the modulus is
     (2r - alpha(2r-1)) / (2r + alpha(2r-1)), which tends to 1 at r = 1/2.
     """
-    if not (0.0 < alpha < 2.0):
-        raise ValueError("alpha must lie in (0, 2)")
-    zz = _as_complex(z)
-    r = np.abs(zz)
-    if np.any(r >= 1.0):
-        raise ValueError("mu_example3 is defined on the open unit disk only")
-    out = np.zeros_like(zz)
-    ann = r > 0.5
-    if np.any(ann):
-        ra = r[ann]
-        za = zz[ann]
-        num = 2.0 * ra - alpha * (2.0 * ra - 1.0)
-        den = 2.0 * ra + alpha * (2.0 * ra - 1.0)
-        out[ann] = (za * za) / (ra * ra) * (num / den)
-    return out if out.shape else complex(out)
+    _check_alpha3(alpha)
+
+    def outer(z, r):
+        t = alpha * (2.0 * r - 1.0)
+        return (z * z) / (r * r) * ((2.0 * r - t) / (2.0 * r + t))
+
+    return _radial_branches(z, 0.5, outer, name="mu_example3", open_disk=True)
 
 
 def mu_example4(z):
     """Registry example 4 dilatation: -e^{2i theta} ln r / (1 + ln r) on
     e^{-1/2} < r < 1, zero inside."""
-    zz = _as_complex(z)
-    r = np.abs(zz)
-    if np.any(r >= 1.0):
-        raise ValueError("mu_example4 is defined on the open unit disk only")
-    out = np.zeros_like(zz)
-    ann = r > math.exp(-0.5)
-    if np.any(ann):
-        ra = r[ann]
-        za = zz[ann]
-        lr = np.log(ra)
-        out[ann] = -(za * za) / (ra * ra) * (lr / (1.0 + lr))
-    return out if out.shape else complex(out)
+
+    def outer(z, r):
+        lr = np.log(r)
+        return -(z * z) / (r * r) * (lr / (1.0 + lr))
+
+    return _radial_branches(z, math.exp(-0.5), outer, name="mu_example4", open_disk=True)
 
 
 def example3_truncation_radius(alpha: float, k: float) -> float:
-    """Radius below which truncation at level k zeroes example 3 (clipped to 1)."""
+    """Radius below which truncation at level k zeroes example 3 (clipped
+    to 1); k = inf gives the onset circle 1/2."""
+    if math.isinf(k):
+        return 0.5
     if k * alpha <= 1.0:
         return 1.0
     return min(1.0, k * alpha / (2.0 * (k * alpha - 1.0)))
 
 
 def example4_truncation_radius(k: float) -> float:
-    """Radius below which truncation at level k zeroes example 4."""
-    if k < 1.0:
-        raise ValueError("truncation level must be >= 1")
-    return math.exp((1.0 - k) / (2.0 * k))
+    """Radius below which truncation at level k zeroes example 4; k = inf
+    gives the onset circle e^{-1/2}."""
+    check_level(k)
+    return math.exp(-0.5) if math.isinf(k) else math.exp((1.0 - k) / (2.0 * k))
 
 
 @dataclass(frozen=True)
 class MuSpec:
-    """A dilatation field: registry kind plus an optional truncation cap.
+    """A dilatation field: a family of the table, a constant, or a sampled
+    grid, plus an optional truncation cap.
 
     ``mu`` evaluates the field anywhere in the plane (zero outside the
     unit disk); ``k_cap`` applies truncation pointwise, keeping values with
@@ -133,11 +167,8 @@ class MuSpec:
     k_cap: float = math.inf
 
     def __post_init__(self) -> None:
-        if self.kind == "example3":
-            if self.alpha is None or not (0.0 < self.alpha < 2.0):
-                raise ValueError("example3 needs alpha in (0, 2)")
-        elif self.kind == "example4":
-            pass
+        if self.kind in FAMILIES:
+            FAMILIES[self.kind].alpha_of(self.alpha)
         elif self.kind == "constant":
             if self.c is None or abs(self.c) >= 1.0:
                 raise ValueError("constant dilatation needs |c| < 1")
@@ -148,8 +179,7 @@ class MuSpec:
                 raise ValueError("grid dilatation samples must satisfy |mu| <= 1")
         else:
             raise ValueError(f"unknown dilatation kind {self.kind!r}")
-        if not (self.k_cap >= 1.0):
-            raise ValueError("truncation level must be >= 1")
+        check_level(self.k_cap)
 
     @classmethod
     def example3(cls, alpha: float) -> "MuSpec":
@@ -176,10 +206,8 @@ class MuSpec:
         out = np.zeros_like(zz)
         if self.kind == "constant":
             out[inside] = self.c
-        elif self.kind == "example3":
-            out[inside] = np.asarray(mu_example3(zz[inside], self.alpha))
-        elif self.kind == "example4":
-            out[inside] = np.asarray(mu_example4(zz[inside]))
+        elif self.kind in FAMILIES:
+            out[inside] = np.asarray(FAMILIES[self.kind].mu(zz[inside], self.alpha))
         else:
             out[inside] = self._interp_grid(zz[inside])
         if math.isfinite(self.k_cap):
@@ -218,27 +246,13 @@ class MuSpec:
             return min(raw, (self.k_cap - 1.0) / (self.k_cap + 1.0))
         return raw
 
-    def truncation_radius(self) -> float | None:
-        """Radius of the disk emptied by the cap, for the registry kinds."""
-        if not math.isfinite(self.k_cap):
-            return None
-        if self.kind == "example3":
-            return example3_truncation_radius(self.alpha, self.k_cap)
-        if self.kind == "example4":
-            return example4_truncation_radius(self.k_cap)
-        return None
-
     def jump_radii(self) -> tuple:
         """Circles where the field is discontinuous (finite-difference
         comparisons exclude small bands around these)."""
+        if self.kind in FAMILIES:
+            return FAMILIES[self.kind].jump_radii(self.alpha, self.k_cap)
         if self.kind == "constant":
             return (1.0,) if self.c != 0 else ()
-        if self.kind == "example3":
-            inner = self.truncation_radius() or 0.5
-            return (inner, 1.0) if inner < 1.0 else ()
-        if self.kind == "example4":
-            inner = self.truncation_radius() or math.exp(-0.5)
-            return (inner,) if inner < 1.0 else ()
         return (1.0,)
 
 
@@ -255,9 +269,7 @@ def K_mu(mu_value):
 
 def truncate_mu(spec: MuSpec, k: float) -> MuSpec:
     """Zero the field wherever its maximal dilatation exceeds k."""
-    if k < 1.0:
-        raise ValueError("truncation level must be >= 1")
-    return replace(spec, k_cap=min(spec.k_cap, float(k)))
+    return replace(spec, k_cap=min(spec.k_cap, check_level(k)))
 
 
 def mu_of_inverse(f_z, f_zbar):
@@ -278,8 +290,7 @@ def K_Ip_field(fz: ComplexField, fzbar: ComplexField, order_p: float) -> Complex
     derivatives vanish and inf where the Jacobian is non-positive without
     both vanishing.  Returns a real-valued extended field.
     """
-    if not (1.0 < order_p <= 2.0):
-        raise ValueError("order p must lie in (1, 2]")
+    check_order_p(order_p)
     if fz.grid != fzbar.grid:
         raise ValueError("derivative fields live on different grids")
     az = np.abs(fz.data)
@@ -376,6 +387,14 @@ class IntegrabilityScan:
     finite_measure_estimate: float
 
 
+def check_radii(radii: Sequence[float]) -> tuple:
+    """Scan radii: at least one, each positive."""
+    rs = tuple(float(r) for r in radii)
+    if not rs or min(rs) <= 0.0:
+        raise ValueError("radii must be positive")
+    return rs
+
+
 def spherical_integrability_scan(
     Q,
     y0,
@@ -385,9 +404,7 @@ def spherical_integrability_scan(
 ) -> IntegrabilityScan:
     """Per-radius finiteness of the spherical mean of Q about y0, plus a
     trapezoid estimate of the measure of the radius set with finite mean."""
-    rs = sorted(float(r) for r in radii)
-    if not rs or rs[0] <= 0.0:
-        raise ValueError("radii must be positive")
+    rs = sorted(check_radii(radii))
     means = []
     for r in rs:
         if isinstance(Q, RadialWeight):
@@ -437,7 +454,7 @@ def build_dilatation_report(
 
 
 # ---------------------------------------------------------------------------
-# closed-form solutions for the registry examples
+# closed-form solutions of the table families
 
 
 def solution_example3(z, alpha: float, k: float = math.inf):
@@ -445,114 +462,69 @@ def solution_example3(z, alpha: float, k: float = math.inf):
     at level k): the radial stretch (z/|z|) (2|z|-1)^(1/alpha) outside the
     truncation radius, a linear map inside (the limit k = inf collapses the
     inner disk to 0)."""
-    if not (0.0 < alpha < 2.0):
-        raise ValueError("alpha must lie in (0, 2)")
-    zz = _as_complex(z)
-    r = np.abs(zz)
-    if np.any(r > 1.0 + 1e-12):
-        raise ValueError("solution_example3 is defined on the closed unit disk")
-    out = np.zeros_like(zz)
+    _check_alpha3(alpha)
+    r_t = example3_truncation_radius(alpha, k)
     if math.isinf(k):
-        r_t = 0.5
         c_in = 0.0
+    elif r_t >= 1.0:
+        c_in = 1.0
     else:
-        r_t = example3_truncation_radius(alpha, k)
-        c_in = (
-            1.0
-            if r_t >= 1.0
-            else (1.0 / (k * alpha - 1.0)) ** (1.0 / alpha) / r_t
-        )
-    outer = r > r_t
-    inner = ~outer
-    out[inner] = c_in * zz[inner]
-    if np.any(outer):
-        ro = r[outer]
-        out[outer] = zz[outer] / ro * (2.0 * ro - 1.0) ** (1.0 / alpha)
-    return out if out.shape else complex(out)
+        c_in = (1.0 / (k * alpha - 1.0)) ** (1.0 / alpha) / r_t
+    return _radial_branches(
+        z, r_t, lambda z, r: z / r * (2.0 * r - 1.0) ** (1.0 / alpha),
+        lambda z: c_in * z, "solution_example3",
+    )
 
 
 def solution_example4(z, k: float = math.inf):
     """Closed-form normalized solution for example 4 (optionally truncated):
     (z/|z|) (2 ln|z| + 1)^(1/2) outside the truncation radius, linear inside."""
-    zz = _as_complex(z)
-    r = np.abs(zz)
-    if np.any(r > 1.0 + 1e-12):
-        raise ValueError("solution_example4 is defined on the closed unit disk")
-    out = np.zeros_like(zz)
-    if math.isinf(k):
-        r_t = math.exp(-0.5)
-        c_in = 0.0
-    else:
-        r_t = example4_truncation_radius(k)
-        c_in = math.exp((k - 1.0) / (2.0 * k)) / math.sqrt(k)
-    outer = r > r_t
-    inner = ~outer
-    out[inner] = c_in * zz[inner]
-    if np.any(outer):
-        ro = r[outer]
-        out[outer] = zz[outer] / ro * np.sqrt(2.0 * np.log(ro) + 1.0)
-    return out if out.shape else complex(out)
+    r_t = example4_truncation_radius(k)
+    c_in = 0.0 if math.isinf(k) else math.exp((k - 1.0) / (2.0 * k)) / math.sqrt(k)
+    return _radial_branches(
+        z, r_t, lambda z, r: z / r * np.sqrt(2.0 * np.log(r) + 1.0),
+        lambda z: c_in * z, "solution_example4",
+    )
 
 
 def inverse_example3(y, alpha: float, k: float = math.inf):
     """Inverse of the example-3 solution: y (|y|^alpha + 1) / (2 |y|) on the
     outer branch, linear on the inner branch (k finite)."""
-    if not (0.0 < alpha < 2.0):
-        raise ValueError("alpha must lie in (0, 2)")
-    yy = _as_complex(y)
-    s = np.abs(yy)
-    if np.any(s > 1.0 + 1e-12):
-        raise ValueError("inverse_example3 is defined on the closed unit disk")
-    if np.any(s == 0.0) and math.isinf(k):
+    _check_alpha3(alpha)
+    if math.isinf(k) and np.any(np.abs(_as_complex(y)) == 0.0):
         raise ValueError("0 is not in the image of the limit map")
-    out = np.zeros_like(yy)
-    if math.isinf(k):
-        s_t = 0.0
-        c_in = math.nan
-    else:
+    s_t, c_in = 0.0, math.nan
+    if not math.isinf(k):
         r_t = example3_truncation_radius(alpha, k)
-        if r_t >= 1.0:
-            return yy if yy.shape else complex(yy)
-        s_t = (1.0 / (k * alpha - 1.0)) ** (1.0 / alpha)
-        c_in = s_t / r_t
-    outer = s > s_t
-    inner = ~outer & (s > 0.0)
-    if np.any(inner):
-        out[inner] = yy[inner] / c_in
-    if np.any(outer):
-        so = s[outer]
-        out[outer] = yy[outer] * (so**alpha + 1.0) / (2.0 * so)
-    return out if out.shape else complex(out)
+        if r_t >= 1.0:  # the cap leaves no annulus: the map is the identity
+            s_t, c_in = math.inf, 1.0
+        else:
+            s_t = (1.0 / (k * alpha - 1.0)) ** (1.0 / alpha)
+            c_in = s_t / r_t
+    return _radial_branches(
+        y, s_t, lambda y, s: y * (s**alpha + 1.0) / (2.0 * s),
+        lambda y: y / c_in, "inverse_example3",
+    )
 
 
 def inverse_example4(y, k: float = math.inf):
     """Inverse of the example-4 solution: (y/|y|) e^{(|y|^2 - 1)/2} on the
     outer branch, linear on the inner branch (k finite)."""
-    yy = _as_complex(y)
-    s = np.abs(yy)
-    if np.any(s > 1.0 + 1e-12):
-        raise ValueError("inverse_example4 is defined on the closed unit disk")
-    if np.any(s == 0.0) and math.isinf(k):
+    if math.isinf(k) and np.any(np.abs(_as_complex(y)) == 0.0):
         raise ValueError("0 is not in the image of the limit map")
-    out = np.zeros_like(yy)
     s_t = 0.0 if math.isinf(k) else 1.0 / math.sqrt(k)
-    outer = s > s_t
-    inner = ~outer & (s > 0.0)
-    if np.any(inner):
-        c_in = math.exp((k - 1.0) / (2.0 * k)) / math.sqrt(k)
-        out[inner] = yy[inner] / c_in
-    if np.any(outer):
-        so = s[outer]
-        out[outer] = yy[outer] / so * np.exp((so * so - 1.0) / 2.0)
-    return out if out.shape else complex(out)
+    c_in = math.exp((k - 1.0) / (2.0 * k)) / math.sqrt(k)  # unused for k = inf
+    return _radial_branches(
+        y, s_t, lambda y, s: y / s * np.exp((s * s - 1.0) / 2.0),
+        lambda y: y / c_in, "inverse_example4",
+    )
 
 
 def example3_image_weight(alpha: float) -> RadialWeight:
     """Majorant weight for the inverse dilatation of truncated example 3:
     q(s) = (s^alpha + 1) / (alpha s^alpha); integrable in degree q iff
     alpha < 2/q."""
-    if not (0.0 < alpha < 2.0):
-        raise ValueError("alpha must lie in (0, 2)")
+    _check_alpha3(alpha)
 
     def q(s: float) -> float:
         if s <= 0.0:
@@ -569,36 +541,75 @@ def example4_image_weight() -> RadialWeight:
     return RadialWeight(2, w.q, name="example4-image")
 
 
+@dataclass(frozen=True)
+class Family:
+    """One entry of the family table.  Every callable takes alpha, which
+    a family without one (check_alpha None) ignores."""
+
+    mu: Callable  # (z, alpha): the field on the open unit disk
+    radius: Callable  # (alpha, k): radius of the disk the cap at k empties
+    rim_jump: bool  # |mu| also jumps at the unit circle
+    solution: Callable  # (z, alpha, k): normalized solution of the capped equation
+    inverse: Callable  # (y, alpha, k): inverse of that solution
+    image_weight: Callable  # alpha -> RadialWeight majorizing the inverse's dilatation
+    check_alpha: Callable | None = None  # raises ValueError for a bad alpha
+
+    def alpha_of(self, alpha):
+        """alpha checked by the family's rule; None if it takes no alpha."""
+        if self.check_alpha is None:
+            return None
+        self.check_alpha(alpha)
+        return alpha
+
+    def jump_radii(self, alpha, k: float = math.inf) -> tuple:
+        """Circles where |mu| capped at k jumps: the edge of the emptied
+        disk (the onset circle for k = inf), plus the unit circle for
+        rim_jump families; none once the cap empties the whole disk."""
+        inner = self.radius(alpha, k)
+        if inner >= 1.0:
+            return ()
+        return (inner, 1.0) if self.rim_jump else (inner,)
+
+
+FAMILIES = {
+    "example3": Family(
+        mu=mu_example3,
+        radius=example3_truncation_radius,
+        rim_jump=True,
+        solution=solution_example3,
+        inverse=inverse_example3,
+        image_weight=example3_image_weight,
+        check_alpha=_check_alpha3,
+    ),
+    "example4": Family(
+        mu=lambda z, alpha: mu_example4(z),
+        radius=lambda alpha, k: example4_truncation_radius(k),
+        rim_jump=False,
+        solution=lambda z, alpha, k: solution_example4(z, k),
+        inverse=lambda y, alpha, k: inverse_example4(y, k),
+        image_weight=lambda alpha: example4_image_weight(),
+    ),
+}
+
+
 def named_map(name: str, alpha: float | None = None, k: float | None = None,
               m: float | None = None):
     """Closed-form map registry for scans: returns (evaluator on complex
-    arrays, branch radii).  Names: identity, example3, example4, example2."""
-    kk = math.inf if k is None else float(k)
+    arrays, branch radii).  Names: identity, example2, and the solutions of
+    the table families (alpha defaults to 0.5, k to no cap)."""
+    kk = math.inf if k is None else check_level(k)
+    if name in FAMILIES:
+        fam = FAMILIES[name]
+        a = fam.alpha_of(0.5 if alpha is None else alpha)
+        r_t = fam.radius(a, kk)
+        return (lambda z: fam.solution(z, a, kk)), ((r_t,) if r_t < 1.0 else ())
     if name == "identity":
         return (lambda z: _as_complex(z)), ()
-    if name == "example3":
-        a = 0.5 if alpha is None else alpha
-        r_t = 0.5 if math.isinf(kk) else example3_truncation_radius(a, kk)
-        radii = (r_t,) if r_t < 1.0 else ()
-        return (lambda z: solution_example3(z, a, kk)), radii
-    if name == "example4":
-        r_t = math.exp(-0.5) if math.isinf(kk) else example4_truncation_radius(kk)
-        return (lambda z: solution_example4(z, kk)), (r_t,)
     if name == "example2":
-        mm = 2.0 if m is None else float(m)
-        prof = Example2Profile(2, mm)
+        prof = Example2Profile(2, 2.0 if m is None else float(m))
 
-        def ev(z):
-            zz = _as_complex(z)
-            r = np.abs(zz)
-            if np.any(r > 1.0 + 1e-12):
-                raise ValueError("map defined on the closed unit disk")
-            out = np.zeros_like(zz)
-            pos = r > 0.0
-            rp = r[pos]
-            vals = np.array([prof.value(t) for t in rp])
-            out[pos] = zz[pos] / rp * vals
-            return out if out.shape else complex(out)
+        def outer(z, r):
+            return z / r * np.array([prof.value(t) for t in r])
 
-        return ev, prof.kink_radii
+        return (lambda z: _radial_branches(z, 0.0, outer)), prof.kink_radii
     raise ValueError(f"unknown map name {name!r}")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,13 +42,12 @@ __all__ = [
     "Example2Profile",
     "LimitStretchProfile",
     "NumericProfile",
-    "TableProfile",
     "InverseProfile",
-    "rho_profile",
     "radial_map_eval",
     "radial_map_invert",
     "StretchFactors",
     "radial_stretch_factors",
+    "check_order_p",
     "radial_K_Ip",
     "annulus_modulus",
     "PoletskyReport",
@@ -83,6 +82,21 @@ class RadialWeight:
         if self.breakpoints_in is None:
             return ()
         return tuple(self.breakpoints_in(a, b))
+
+    def lehto_integrand(self) -> Callable[[float], float]:
+        """t -> 1 / (t q(t)^(1/(n-1))), which is 0 where q = inf and inf
+        where q = 0."""
+        expo = 1.0 / (self.n - 1.0)
+
+        def g(t: float) -> float:
+            qt = self.q(t)
+            if qt == math.inf:
+                return 0.0
+            if qt <= 0.0:
+                return math.inf
+            return 1.0 / (t * qt**expo)
+
+        return g
 
 
 def unit_weight(n: int = 2) -> RadialWeight:
@@ -207,19 +221,9 @@ def lehto_integral(
         raise ValueError("need r_hi >= r_lo")
     if r_hi == r_lo:
         return 0.0
-    expo = 1.0 / (w.n - 1.0)
-
-    def integrand(t: float) -> float:
-        qt = w.q(t)
-        if qt == math.inf:
-            return 0.0
-        if qt <= 0.0:
-            return math.inf
-        return 1.0 / (t * qt**expo)
-
     try:
         res = adaptive_integral_1d(
-            integrand, r_lo, r_hi, cfg, breakpoints=w.breakpoints(r_lo, r_hi)
+            w.lehto_integrand(), r_lo, r_hi, cfg, breakpoints=w.breakpoints(r_lo, r_hi)
         )
     except IntegrandNonFinite:
         return math.inf
@@ -395,17 +399,7 @@ class NumericProfile(RadialProfile):
         self.weight = weight
         self.r_floor = float(r_floor)
         self._cfg = cfg or QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12)
-        expo = 1.0 / (weight.n - 1.0)
-
-        def g(t: float) -> float:
-            qt = weight.q(t)
-            if qt == math.inf:
-                return 0.0
-            if qt <= 0.0:
-                return math.inf
-            return 1.0 / (t * qt**expo)
-
-        self._g = g
+        self._g = weight.lehto_integrand()
         lo_part = np.geomspace(self.r_floor, 0.1, 49)
         hi_part = np.linspace(0.1, 1.0, 181)
         nodes = set(np.concatenate([lo_part, hi_part]).tolist())
@@ -414,7 +408,7 @@ class NumericProfile(RadialProfile):
         segs = []
         for lo, hi in zip(self._nodes[:-1], self._nodes[1:]):
             res = adaptive_integral_1d(
-                g, lo, hi, self._cfg, breakpoints=weight.breakpoints(lo, hi)
+                self._g, lo, hi, self._cfg, breakpoints=weight.breakpoints(lo, hi)
             )
             segs.append(res.value)
         segs = np.array(segs)
@@ -496,57 +490,6 @@ class NumericProfile(RadialProfile):
         return self._nodes.copy(), np.exp(-self._tails)
 
 
-class TableProfile(RadialProfile):
-    """Profile interpolated from a user-supplied monotone table.
-
-    Uses shape-preserving piecewise-cubic interpolation, so monotonicity of
-    the table carries over to the interpolant with no overshoot.
-    """
-
-    kind = "numeric"
-
-    def __init__(self, n: int, radii: Sequence[float], values: Sequence[float]):
-        from scipy.interpolate import PchipInterpolator
-
-        rs = np.asarray(radii, dtype=float)
-        vs = np.asarray(values, dtype=float)
-        if rs.ndim != 1 or rs.shape != vs.shape or rs.size < 4:
-            raise ValueError("table needs matching 1-D arrays with >= 4 rows")
-        if np.any(np.diff(rs) <= 0.0) or np.any(np.diff(vs) <= 0.0):
-            raise ValueError("table must be strictly increasing in r and rho")
-        if not (0.0 <= rs[0] and abs(rs[-1] - 1.0) <= 1e-9):
-            raise ValueError("table radii must end at 1")
-        if abs(vs[-1] - 1.0) > 1e-8:
-            raise ValueError("profile table must satisfy rho(1) = 1")
-        self.n = n
-        self._rs = rs
-        self._vs = vs
-        self._interp = PchipInterpolator(rs, vs)
-        self._dinterp = self._interp.derivative()
-        self.kink_radii = ()
-
-    def value(self, r: float) -> float:
-        self._check_radius(r)
-        r = min(float(r), 1.0)
-        if r < self._rs[0]:
-            raise ValueError(f"radius {r!r} below the table range")
-        return float(self._interp(r))
-
-    def derivative(self, r: float, side: int = 0) -> float:
-        self._check_radius(r)
-        return float(self._dinterp(min(float(r), 1.0)))
-
-    def inverse(self, s: float) -> float:
-        if not (self._vs[0] - 1e-12 <= s <= 1.0 + 1e-12):
-            raise ValueError(f"value {s!r} outside the table range")
-        s = min(max(float(s), self._vs[0]), 1.0)
-        return _monotone_root(self.value, float(self._rs[0]), 1.0, s)
-
-    @property
-    def table(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._rs.copy(), self._vs.copy()
-
-
 class InverseProfile(RadialProfile):
     """Profile of the inverse map of a strictly increasing base profile."""
 
@@ -597,15 +540,6 @@ def _monotone_root(fn: Callable[[float], float], lo: float, hi: float, target: f
         r = lo + (target - flo) * (hi - lo) / (fhi - flo)
         return min(max(r, lo), hi)
     return 0.5 * (lo + hi)
-
-
-def rho_profile(
-    w: RadialWeight,
-    cfg: QuadratureConfig | None = None,
-    r_floor: float = 1e-3,
-) -> NumericProfile:
-    """Numeric profile generated from a radial weight."""
-    return NumericProfile(w, r_floor=r_floor, cfg=cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -666,13 +600,19 @@ def radial_stretch_factors(p: RadialProfile, s: float) -> StretchFactors:
     return StretchFactors(tangential, p.derivative(s))
 
 
+def check_order_p(order_p: float) -> float:
+    """The order p of an inner dilatation K_{I,p}: 1 < p <= 2."""
+    if not (1.0 < order_p <= 2.0):
+        raise ValueError("order p must lie in (1, 2]")
+    return order_p
+
+
 def radial_K_Ip(p: RadialProfile, s: float, order_p: float) -> float:
     """Inner dilatation of order p of the radial map at radius s:
     (tangential * radial) / min(tangential, radial)^p, with the
     conventions 1 when both stretch factors vanish and inf when exactly
     one does."""
-    if not (1.0 < order_p <= 2.0):
-        raise ValueError("order p must lie in (1, 2]")
+    check_order_p(order_p)
     f = radial_stretch_factors(p, s)
     dt, dr = f.tangential, f.radial
     if dt < 0.0 or dr < 0.0:

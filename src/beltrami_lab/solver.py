@@ -43,8 +43,9 @@ from typing import Sequence
 import numpy as np
 from scipy import fft as sfft
 
-from .dilatation import MuSpec, truncate_mu
+from .dilatation import MuSpec, check_level, truncate_mu
 from .numerics import ComplexField, GridSpec, wirtinger_derivatives
+from .radial import check_order_p
 
 __all__ = [
     "PaddingError",
@@ -54,6 +55,7 @@ __all__ = [
     "SolveResult",
     "ResidualReport",
     "TruncationRun",
+    "check_k_schedule",
     "thread_count",
     "cauchy_transform",
     "beurling_transform",
@@ -237,23 +239,27 @@ class ResidualReport:
     worst_point: complex
 
 
+def _subcell_points(grid: GridSpec, zz: np.ndarray, cells: np.ndarray, sub: int):
+    """The cells where the mask ``cells`` holds, as (iy, ix), and a sub x sub
+    lattice of points centred in each of them, one row per cell."""
+    iy, ix = np.nonzero(cells)
+    offs = (np.arange(sub) + 0.5) / sub - 0.5
+    ox, oy = np.meshgrid(offs * grid.dx, offs * grid.dy)
+    return iy, ix, zz[iy, ix][:, None] + (ox + 1j * oy).ravel()[None, :]
+
+
 def _sample_mu(spec: MuSpec, grid: GridSpec, cfg: SolveConfig) -> np.ndarray:
     zz = grid.zz()
     data = np.asarray(spec.mu(zz), dtype=np.complex128)
     sub = cfg.antialias_subcells
     if sub > 1:
         step = max(grid.dx, grid.dy)
-        offs = ((np.arange(sub) + 0.5) / sub - 0.5)
-        ox, oy = np.meshgrid(offs * grid.dx, offs * grid.dy)
-        cell_pts = (ox + 1j * oy).ravel()
         r = np.abs(zz)
         for rc in spec.jump_radii():
             band = np.abs(r - rc) <= cfg.antialias_band_cells * step
-            if not band.any():
-                continue
-            iy, ix = np.nonzero(band)
-            pts = zz[iy, ix][:, None] + cell_pts[None, :]
-            data[iy, ix] = np.asarray(spec.mu(pts)).mean(axis=1)
+            if band.any():
+                iy, ix, pts = _subcell_points(grid, zz, band, sub)
+                data[iy, ix] = np.asarray(spec.mu(pts)).mean(axis=1)
     return data
 
 
@@ -383,12 +389,8 @@ def _disk_cell_weights(grid: GridSpec, subsample: int = 4) -> np.ndarray:
     w = np.zeros(r.shape)
     w[r <= 1.0 - half_diag] = 1.0
     part = (r < 1.0 + half_diag) & (r > 1.0 - half_diag)
-    if part.any():
-        iy, ix = np.nonzero(part)
-        offs = ((np.arange(subsample) + 0.5) / subsample - 0.5)
-        ox, oy = np.meshgrid(offs * grid.dx, offs * grid.dy)
-        pts = zz[iy, ix][:, None] + (ox + 1j * oy).ravel()[None, :]
-        w[iy, ix] = (np.abs(pts) <= 1.0).mean(axis=1)
+    iy, ix, pts = _subcell_points(grid, zz, part, subsample)
+    w[iy, ix] = (np.abs(pts) <= 1.0).mean(axis=1)
     return w
 
 
@@ -396,8 +398,7 @@ def grid_kip_integral(res: SolveResult, order_p: float, subsample: int = 4) -> f
     """Integral of the order-p inner dilatation of the inverse map over the
     image of the unit disk, computed in source coordinates as the integral
     of the operator norm ||f'||^p = (|f_z| + |f_zbar|)^p."""
-    if not (1.0 < order_p <= 2.0):
-        raise ValueError("order p must lie in (1, 2]")
+    check_order_p(order_p)
     grid = res.f.grid
     w = _disk_cell_weights(grid, subsample)
     norm = np.abs(res.f_z.data) + np.abs(res.f_zbar.data)
@@ -411,8 +412,7 @@ def grid_kip_integral_image_route(
     inverse at f(z), times the Jacobian, integrated over the disk.  A
     genuinely different arithmetic path from grid_kip_integral, used to
     cross-check the change of variables."""
-    if not (1.0 < order_p <= 2.0):
-        raise ValueError("order p must lie in (1, 2]")
+    check_order_p(order_p)
     grid = res.f.grid
     w = _disk_cell_weights(grid, subsample)
     az = np.abs(res.f_z.data)
@@ -436,6 +436,15 @@ class TruncationRun:
     bound_ok: tuple | None
 
 
+def check_k_schedule(k_schedule: Sequence[float]) -> tuple:
+    """The levels of a truncation scheme: at least one, strictly increasing,
+    each a truncation level."""
+    ks = tuple(check_level(k) for k in k_schedule)
+    if not ks or any(b <= a for a, b in zip(ks, ks[1:])):
+        raise ValueError("k_schedule must be a nonempty, strictly increasing sequence")
+    return ks
+
+
 def truncation_scheme(
     mu: MuSpec,
     k_schedule: Sequence[float],
@@ -452,13 +461,8 @@ def truncation_scheme(
     ln(fix_tol)/ln(ess-sup |mu_k|) plus margin, since higher caps contract
     more slowly.
     """
-    ks = [float(k) for k in k_schedule]
-    if not ks or any(k < 1.0 for k in ks):
-        raise ValueError("truncation levels must be >= 1")
-    if any(b <= a for a, b in zip(ks, ks[1:])):
-        raise ValueError("k_schedule must be strictly increasing")
-    if not (1.0 < order_p <= 2.0):
-        raise ValueError("order p must lie in (1, 2]")
+    ks = check_k_schedule(k_schedule)
+    check_order_p(order_p)
     cfg = cfg or SolveConfig()
     per_k: list[SolveResult] = []
     for k in ks:
@@ -480,7 +484,7 @@ def truncation_scheme(
     if bound_M is not None:
         ok = tuple(v <= bound_M for v in integrals)
     return TruncationRun(
-        k_schedule=tuple(ks),
+        k_schedule=ks,
         order_p=order_p,
         per_k=per_k,
         pairwise_sup_dist=dists,

@@ -67,8 +67,9 @@ class HolderConfig:
         if self.compact_radius + self.r0 > 1.0 + 1e-12:
             raise ValueError("compact must fit in the unit disk: radius + r0 <= 1")
         sc = self.dyadic_scales
-        if not sc or any(b >= a for a, b in zip(sc, sc[1:])):
-            raise ValueError("scales must be strictly decreasing")
+        # holder_scan's bounded flag compares the three finest scales
+        if len(sc) < 3 or any(b >= a for a, b in zip(sc, sc[1:])):
+            raise ValueError("need at least three strictly decreasing scales")
         if sc[0] >= 2.0 * self.compact_radius or sc[-1] <= 0.0:
             raise ValueError("scales must lie in (0, 2 * compact_radius)")
         if self.pairs_per_scale < 1:

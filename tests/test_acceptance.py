@@ -29,12 +29,12 @@ from beltrami_lab.radial import (
     IdentityProfile,
     InverseProfile,
     LimitStretchProfile,
+    NumericProfile,
     example1_weight,
     inverse_poletsky_check,
     kip_integral_image_route,
     kip_integral_source_route,
     power_weight,
-    rho_profile,
     truncated_power_weight,
     unit_weight,
 )
@@ -132,7 +132,7 @@ class TestAcceptance:
     def test_05_numeric_profile_matches_closed_form(self):
         worst_profile = 0.0
         for n in (2, 3, 5):
-            numeric = rho_profile(power_weight(n))
+            numeric = NumericProfile(power_weight(n))
             closed = LimitStretchProfile(n)
             for r in np.linspace(0.05, 1.0, 40):
                 worst_profile = max(

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -322,6 +324,19 @@ class TestTruncateCommand:
         assert doc["results"]["bound_M"] is None
 
 
+    def test_order_two_runs_without_auto_bound(self, tmp_path):
+        # pi + 2 pi/(2 - p) has no finite value at p = 2: 'auto' means no check
+        out = str(tmp_path / "run")
+        code = main(
+            ["truncate", "--mu", "const:0.3", "--k", "2,4", "--grid", "64",
+             "--p", "2", "--out", out]
+        )
+        assert code == 0
+        doc = _read_json(os.path.join(out, "truncate.summary.json"))
+        assert doc["checks"] == {}
+        assert doc["results"]["bound_M"] is None
+
+
 class TestHolderCommand:
     ARGS = ["holder", "--map", "identity", "--pairs", "50", "--scales", "3:8"]
 
@@ -451,3 +466,51 @@ class TestProvenance:
         assert prov["config_echo"]["seed"] == 11
         assert prov["config_echo"]["pairs"] == 20
         assert prov["checks_run"] == ["products_bounded"]
+
+
+def _read_strict_json(path):
+    def reject(constant):
+        raise ValueError(f"{path} holds the non-JSON constant {constant}")
+
+    with open(path) as fh:
+        return json.load(fh, parse_constant=reject)
+
+
+class TestStrictJson:
+    def test_non_finite_values_are_null_and_flagged(self, tmp_path):
+        out = str(tmp_path / "run")
+        # the example2 map has no weight, so its mass and constant are NaN;
+        # the uncapped example4 field has k_cap = inf and a divergent mass
+        assert main(["holder", "--map", "example2", "--pairs", "20",
+                     "--scales", "3:8", "--out", out]) == 0
+        assert main(["dilatation", "--mu", "example4", "--out", out]) == 0
+        holder = _read_strict_json(os.path.join(out, "holder.summary.json"))
+        assert holder["results"]["empirical_C"] is None
+        assert holder["non_finite"] == {"/results/empirical_C": "nan",
+                                        "/results/q_l1": "nan"}
+        dil = _read_strict_json(os.path.join(out, "dilatation.summary.json"))
+        assert dil["results"]["k_cap"] is None
+        assert dil["non_finite"] == {"/results/k_cap": "inf",
+                                     "/results/l1_value": "inf"}
+
+        assert main(["report", "--out", out]) == 0
+        report = _read_strict_json(os.path.join(out, "report.json"))
+        assert report["merged"]["holder"]["q_l1"] is None
+        assert report["non_finite"] == {
+            "/merged/holder/empirical_C": "nan",
+            "/merged/holder/q_l1": "nan",
+            "/merged/dilatation/k_cap": "inf",
+            "/merged/dilatation/l1_value": "inf",
+        }
+        _read_strict_json(os.path.join(out, "report.summary.json"))
+
+
+class TestReadmeCommands:
+    def test_every_readme_command_parses(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        block = readme.read_text().split("## Command line", 1)[1]
+        lines = [line for line in block.splitlines() if line.startswith("beltrami-lab ")]
+        assert len(lines) >= 6
+        for line in lines:
+            cfg = parse_config(shlex.split(line)[1:])
+            assert cfg.command == shlex.split(line)[1]

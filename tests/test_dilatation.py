@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beltrami_lab.dilatation import (
+    FAMILIES,
     K_Ip_field,
     K_mu,
     L1Report,
@@ -330,3 +331,66 @@ class TestReportAndRegistry:
         assert f(0.0) == 0.0
         with pytest.raises(ValueError):
             named_map("nonsense")
+
+
+FAMILY_ALPHA = 0.5
+
+
+def _family_points(fam, k):
+    """Points of the disk 2% or more off the family's jump circles; for
+    k = inf only outside the onset circle, since the limit map collapses
+    the disk inside it to 0."""
+    r = np.linspace(0.03, 0.97, 96)
+    keep = np.all([np.abs(r - c) >= 0.02 for c in fam.jump_radii(FAMILY_ALPHA, k)], axis=0)
+    if math.isinf(k):
+        keep &= r > fam.radius(FAMILY_ALPHA, k)
+    return r[keep] * np.exp(1j * np.linspace(0.1, 6.1, keep.sum()))
+
+
+@pytest.mark.parametrize("k", [math.inf, 10.0])
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+class TestFamilyTable:
+    """Each entry of the family table, checked through its record alone, so
+    a new family is tested by adding it to the table."""
+
+    def _spec(self, name, k):
+        spec = MuSpec(kind=name, alpha=FAMILIES[name].alpha_of(FAMILY_ALPHA))
+        return spec if math.isinf(k) else truncate_mu(spec, k)
+
+    def test_solution_has_the_field_as_dilatation(self, name, k):
+        fam = FAMILIES[name]
+        spec = self._spec(name, k)
+        pts = _family_points(fam, k)
+        assert pts.size > 30
+        for z0 in pts:
+            fz, fzb = wirtinger_at_point(lambda z: fam.solution(z, FAMILY_ALPHA, k), z0)
+            assert abs(fzb / fz - spec.mu(z0)) < 1e-6
+
+    def test_inverse_undoes_solution(self, name, k):
+        fam = FAMILIES[name]
+        pts = _family_points(fam, k)
+        back = fam.inverse(fam.solution(pts, FAMILY_ALPHA, k), FAMILY_ALPHA, k)
+        assert np.max(np.abs(back - pts)) <= 1e-12
+
+    def test_cap_empties_the_family_radius(self, name, k):
+        fam = FAMILIES[name]
+        raw = self._spec(name, math.inf)
+        edge = fam.radius(FAMILY_ALPHA, k) * np.exp(0.4j)
+        outside = K_mu(raw.mu(edge * (1.0 + 1e-6)))
+        if math.isinf(k):
+            # the onset circle: K is finite outside it and unbounded toward it
+            assert 1e3 < outside < math.inf
+        else:
+            assert outside <= k
+            assert K_mu(raw.mu(edge * (1.0 - 1e-6))) > k
+
+    def test_jump_radii_are_the_jumps_of_the_modulus(self, name, k):
+        spec = self._spec(name, k)
+        h = 1e-4
+        r = (np.arange(int(1.1 / h)) + 0.5) * h
+        m = np.abs(spec.mu(r * np.exp(0.7j)))
+        at = np.flatnonzero(np.abs(np.diff(m)) > 0.05)
+        jumps = r[at] + 0.5 * h
+        listed = spec.jump_radii()
+        assert len(jumps) == len(listed)
+        assert all(abs(j - c) <= h for j, c in zip(jumps, sorted(listed)))

@@ -11,6 +11,7 @@ from beltrami_lab.radial import (
     IdentityProfile,
     InverseProfile,
     LimitStretchProfile,
+    NumericProfile,
     RadialWeight,
     annulus_modulus,
     example1_weight,
@@ -23,7 +24,6 @@ from beltrami_lab.radial import (
     radial_map_eval,
     radial_map_invert,
     radial_stretch_factors,
-    rho_profile,
     spherical_mean,
     truncated_power_weight,
     unit_weight,
@@ -66,13 +66,13 @@ class TestProfiles:
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_numeric_profile_matches_closed_form(self, n):
-        num = rho_profile(power_weight(n))
+        num = NumericProfile(power_weight(n))
         ref = LimitStretchProfile(n)
         for r in np.linspace(0.02, 1.0, 25):
             assert num.value(float(r)) == pytest.approx(ref.value(float(r)), abs=1e-8)
 
     def test_numeric_profile_from_truncated_weight(self):
-        num = rho_profile(truncated_power_weight(2, 2.0))
+        num = NumericProfile(truncated_power_weight(2, 2.0))
         ref = Example2Profile(2, 2.0)
         for r in np.linspace(0.05, 1.0, 20):
             assert num.value(float(r)) == pytest.approx(ref.value(float(r)), abs=1e-8)

@@ -138,6 +138,14 @@ class TestHolderScan:
         with pytest.raises(ValueError):
             HolderConfig(n=1)
 
+    def test_scan_needs_three_scales(self):
+        # the bounded flag compares the three finest scales; two scales
+        # used to end the scan in an IndexError
+        with pytest.raises(ValueError, match="three"):
+            HolderConfig(dyadic_scales=(0.25, 0.125))
+        assert len(holder_scan(_identity, HolderConfig(
+            dyadic_scales=(0.25, 0.125, 0.0625), pairs_per_scale=10)).scales) == 3
+
 
 class TestLehtoDivergenceScan:
     CUTS = tuple(2.0**-j for j in range(2, 10))
