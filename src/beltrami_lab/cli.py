@@ -527,13 +527,17 @@ def _cmd_radial(cfg, profile, weight) -> tuple[dict, dict]:
     rng = np.random.default_rng(cfg.seed)
     checks_rows = []
     all_hold = True
-    # image radii must lie in the map's range, which starts at rho(0+) for
-    # profiles that compress the origin; probing rho(0.05) bounds the floor
-    # for every profile kind, numeric ones included
-    lo_image = min(max(0.05, profile.value(0.05) + 0.02), 0.85)
+    # Image radii must lie in the range the profile inverts: r1 in
+    # [rho(0.05) + 0.02, 0.9], r2 at least `gap` above it.  A profile too
+    # flat for that draws from its own range floor up, with a narrower gap.
+    lo = max(0.05, profile.value(0.05) + 0.02)
+    if lo > 0.85:
+        lo = max(0.85, profile.range_floor())
+    gap = min(0.05, 0.5 * (1.0 - lo))
+    hi = max(0.9, 0.5 * (lo + 1.0 - gap))
     for _ in range(cfg.pairs):
-        r1 = float(rng.uniform(lo_image, 0.9))
-        r2 = float(rng.uniform(r1 + 0.05, 1.0))
+        r1 = float(rng.uniform(lo, hi))
+        r2 = float(rng.uniform(r1 + gap, 1.0))
         rep = inverse_poletsky_check(profile, weight, r1, r2)
         all_hold &= rep.holds
         checks_rows.append((r1, r2, rep.lhs, rep.rhs, rep.holds))

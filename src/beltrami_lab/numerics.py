@@ -189,65 +189,45 @@ class IntegrandNonFinite(RuntimeError):
         self.value = value
 
 
-# Gauss-Kronrod 7/15 nodes and weights on [-1, 1] (positive half; nodes are
-# strictly interior, so the rule never evaluates interval endpoints).
-_K15_NODES = np.array(
-    [
-        0.991455371120813,
-        0.949107912342759,
-        0.864864423359769,
-        0.741531185599394,
-        0.586087235467691,
-        0.405845151377397,
-        0.207784955007898,
-        0.0,
-    ]
-)
-_K15_WEIGHTS = np.array(
-    [
-        0.022935322010529,
-        0.063092092629979,
-        0.104790010322250,
-        0.140653259715525,
-        0.169004726639267,
-        0.190350578064785,
-        0.204432940075298,
-        0.209482141084728,
-    ]
-)
-# Gauss-7 weights aligned with Kronrod nodes 1, 3, 5, 7 (odd indices above).
-_G7_WEIGHTS = np.array(
-    [
-        0.129484966168870,
-        0.279705391489277,
-        0.381830050505119,
-        0.417959183673469,
-    ]
-)
+# QUADPACK qk15 (Piessens et al., 1983) on [-1, 1], positive half: the
+# Kronrod nodes, their K15 weights, and the G7 weights (0 at the
+# Kronrod-only nodes); the centre node comes last.
+_X = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0,
+])
+_WK = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+])
+_WG = np.array([
+    0.0, 0.129484966168869693270611432679082,
+    0.0, 0.279705391489276667901467771423780,
+    0.0, 0.381830050505118944950369775488975,
+    0.0, 0.417959183673469387755102040816327,
+])
+# The 15 nodes in evaluation order -x1, +x1, ..., -x7, +x7, 0 and their
+# weights.  Every node is interior, so interval endpoints are never evaluated.
+_NODES = np.append(np.outer(_X[:7], (-1.0, 1.0)), 0.0)
+_K15 = np.append(np.repeat(_WK[:7], 2), _WK[7])
+_G7 = np.append(np.repeat(_WG[:7], 2), _WG[7])
 
 
-def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float, int]:
-    """One G7/K15 panel: returns (kronrod value, error estimate, evaluations)."""
+def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+    """One G7/K15 panel: (K15 value, |K15 - G7| error estimate)."""
     half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    vals = np.empty(15)
-    xs = np.empty(15)
-    for i in range(7):
-        xs[2 * i] = mid - half * _K15_NODES[i]
-        xs[2 * i + 1] = mid + half * _K15_NODES[i]
-    xs[14] = mid
-    for j in range(15):
-        v = float(f(xs[j]))
-        if not math.isfinite(v):
-            raise IntegrandNonFinite(xs[j], v)
-        vals[j] = v
-    k15 = vals[14] * _K15_WEIGHTS[7]
-    for i in range(7):
-        k15 += (vals[2 * i] + vals[2 * i + 1]) * _K15_WEIGHTS[i]
-    g7 = vals[14] * _G7_WEIGHTS[3]
-    for i in range(3):
-        g7 += (vals[4 * i + 2] + vals[4 * i + 3]) * _G7_WEIGHTS[i]
-    return half * k15, abs(half * (k15 - g7)), 15
+    xs = 0.5 * (a + b) + half * _NODES
+    vals = np.fromiter(map(f, xs), float, 15)
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        j = int(bad.argmax())
+        raise IntegrandNonFinite(xs[j], float(vals[j]))
+    k15, g7 = _K15 @ vals, _G7 @ vals
+    return half * k15, abs(half * (k15 - g7))
 
 
 def adaptive_integral_1d(
@@ -272,52 +252,46 @@ def adaptive_integral_1d(
     if not b > a:
         raise ValueError(f"need b > a, got [{a!r}, {b!r}]")
 
-    cuts = sorted({float(t) for t in breakpoints if a < t < b})
-    edges = [a] + cuts + [b]
-
-    # heap entries: (-err, tiebreak, lo, hi, value, depth)
-    heap: list[tuple[float, int, float, float, float, int]] = []
-    saturated_value = 0.0
-    saturated_error = 0.0
-    evals = 0
-    counter = 0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        v, e, n = _gk15(f, lo, hi)
-        evals += n
-        heapq.heappush(heap, (-e, counter, lo, hi, v, 0))
-        counter += 1
-
+    edges = [a, *sorted({float(t) for t in breakpoints if a < t < b}), b]
+    # panels: (-err, tiebreak, lo, hi, value, depth); ``heap`` holds the
+    # refinable ones, ``parked`` those at max_depth
+    heap, parked = [], []
+    for lo, hi in zip(edges, edges[1:]):
+        v, e = _gk15(f, lo, hi)
+        heap.append((-e, len(heap), lo, hi, v, 0))
+    heapq.heapify(heap)
+    evals = 15 * len(heap)
+    total = math.fsum(p[4] for p in heap)
+    err = math.fsum(-p[0] for p in heap)
+    parked_err = 0.0
     while True:
-        total = saturated_value + sum(item[4] for item in heap)
-        err = saturated_error + sum(-item[0] for item in heap)
         tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
-        if err <= tol:
-            return QuadratureResult(total, err, evals)
-        if not heap:
-            raise QuadratureNonConvergence(total, err, evals)
-        neg_e, _, lo, hi, v, depth = heapq.heappop(heap)
-        if depth >= cfg.max_depth:
-            # Nothing left to refine here; park it.  If the parked error
-            # alone already exceeds the tolerance, no amount of refining
-            # the remaining intervals can recover, so give up now.
-            saturated_value += v
-            saturated_error += -neg_e
-            total = saturated_value + sum(item[4] for item in heap)
-            err = saturated_error + sum(-item[0] for item in heap)
+        if err <= tol or not heap or parked_err > tol:
+            # The running sums carry rounding; recount them exactly before
+            # returning or giving up.  Once the parked error alone exceeds
+            # the tolerance, refining the rest cannot recover.
+            total = math.fsum(p[4] for p in heap + parked)
+            err = math.fsum(-p[0] for p in heap + parked)
             tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
             if err <= tol:
                 return QuadratureResult(total, err, evals)
-            if saturated_error > tol:
+            if not heap or parked_err > tol:
                 raise QuadratureNonConvergence(total, err, evals)
+        panel = heapq.heappop(heap)
+        neg_e, _, lo, hi, v, depth = panel
+        if depth >= cfg.max_depth:
+            parked.append(panel)
+            parked_err -= neg_e
             continue
         mid = 0.5 * (lo + hi)
-        v1, e1, n1 = _gk15(f, lo, mid)
-        v2, e2, n2 = _gk15(f, mid, hi)
-        evals += n1 + n2
-        heapq.heappush(heap, (-e1, counter, lo, mid, v1, depth + 1))
-        counter += 1
-        heapq.heappush(heap, (-e2, counter, mid, hi, v2, depth + 1))
-        counter += 1
+        for sub in ((lo, mid), (mid, hi)):
+            v2, e2 = _gk15(f, *sub)
+            heapq.heappush(heap, (-e2, evals, *sub, v2, depth + 1))
+            evals += 15
+            total += v2
+            err += e2
+        total -= v
+        err += neg_e
 
 
 def unit_sphere_area(n: int) -> float:

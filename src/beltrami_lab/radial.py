@@ -123,6 +123,11 @@ def _example1_phi(t: float, n: int) -> float:
     return 1.0
 
 
+# Most jump radii example1_weight lists for one interval.  The cap bounds
+# memory; every scan, profile and the r = 1e-4 Lehto integral stay below it.
+_MAX_JUMPS = 2**16
+
+
 def example1_weight(n: int = 2) -> RadialWeight:
     """Registry example 1: power-law annuli alternating with unit annuli.
 
@@ -135,8 +140,9 @@ def example1_weight(n: int = 2) -> RadialWeight:
         if b <= a or b <= 0.0:
             return ()
         j_lo = max(2, math.ceil(1.0 / b))
-        j_hi = math.floor(1.0 / a) if a > 0.0 else 4000
-        j_hi = min(j_hi, j_lo + 4000)
+        j_hi = j_lo + _MAX_JUMPS
+        if a > 0.0:
+            j_hi = min(j_hi, math.floor(1.0 / a))
         return tuple(
             1.0 / j for j in range(j_lo, j_hi + 1) if a < 1.0 / j < b
         )
@@ -255,6 +261,10 @@ class RadialProfile:
     def rho_at_zero(self) -> float | None:
         """Limit of rho at 0+ when known (None for numeric profiles)."""
         return None
+
+    def range_floor(self) -> float:
+        """Lower end of the values :meth:`inverse` resolves."""
+        return self.rho_at_zero or 0.0
 
     def _check_radius(self, r: float) -> None:
         if not (0.0 < r <= 1.0 + 1e-12):
@@ -376,6 +386,10 @@ class Example2Profile(RadialProfile):
         return 0.0
 
 
+# NumericProfile.inverse brackets below r_floor in steps of 4 until under this
+_R_MIN = 1e-9
+
+
 class NumericProfile(RadialProfile):
     """Profile generated from a weight by quadrature of the Lehto integrand.
 
@@ -470,19 +484,19 @@ class NumericProfile(RadialProfile):
             raise ValueError(f"value {s!r} outside the profile range")
         s = min(float(s), 1.0)
         lo, hi = self.r_floor, 1.0
-        flo = self.value(lo)
-        if s < flo:
-            # extend the bracket below the node floor
-            while s < flo:
-                if lo < 1e-9:
-                    raise ValueError(
-                        f"value {s!r} below the resolvable profile range"
-                    )
-                hi, lo = lo, lo * 0.25
-                flo, _ = self.value_flagged(lo)
-                if flo == 0.0:
-                    break
+        # extend the bracket below the node floor, down to range_floor()
+        while s < self.value(lo):
+            if lo < _R_MIN:
+                raise ValueError(f"value {s!r} below the resolvable profile range")
+            hi, lo = lo, lo * 0.25
         return _monotone_root(self.value, lo, hi, s)
+
+    def range_floor(self) -> float:
+        """rho at the deepest radius :meth:`inverse` brackets with."""
+        lo = self.r_floor
+        while lo >= _R_MIN:
+            lo *= 0.25
+        return self.value(lo)
 
     @property
     def table(self) -> tuple[np.ndarray, np.ndarray]:

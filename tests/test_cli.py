@@ -2,6 +2,8 @@ import json
 import math
 import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -402,6 +404,23 @@ class TestRadialCommand:
         doc = _read_json(os.path.join(out, "radial.summary.json"))
         assert doc["checks"]["modulus_inequality"]["passed"] is True
 
+    @pytest.mark.parametrize("alpha", ["0.01", "0.001"])
+    def test_flat_numeric_profile_draws_resolvable_radii(self, tmp_path, alpha):
+        # rho = (1 + r^alpha)/2 is nearly flat: rho(0.05) + 0.02 > 1, and
+        # the profile resolves values only down to about 0.906 (alpha 0.01)
+        # or 0.990 (alpha 0.001), so the radii come from that range
+        out = str(tmp_path / "run")
+        code = main(["radial", "--profile", "numeric", "--weight", "example3-image",
+                     "--alpha", alpha, "--pairs", "6", "--out", out])
+        assert code in (0, 1)
+        rows = open(os.path.join(out, "poletsky.csv")).read().strip().split("\n")[1:]
+        assert len(rows) == 6
+        a = float(alpha)
+        floor = (1.0 + (1e-3 * 0.25**10) ** a) / 2.0
+        for row in rows:
+            r1, r2 = (float(v) for v in row.split(",")[:2])
+            assert floor * (1.0 - 1e-9) <= r1 < r2 <= 1.0
+
 
 class TestDilatationCommand:
     def test_example3_truncated_report(self, tmp_path):
@@ -514,3 +533,17 @@ class TestReadmeCommands:
         for line in lines:
             cfg = parse_config(shlex.split(line)[1:])
             assert cfg.command == shlex.split(line)[1]
+
+
+def test_cli_import_leaves_scipy_quadrature_out():
+    # the CLI needs neither module; loading both on top of what it imports
+    # costs about 0.3 s and 25 MiB of RSS
+    code = ("import sys, beltrami_lab.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') "
+            "if m in sys.modules))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

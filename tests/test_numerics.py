@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beltrami_lab import numerics
 from beltrami_lab.numerics import (
     ComplexField,
     GridSpec,
@@ -166,6 +167,23 @@ class TestQuadrature:
         left = adaptive_integral_1d(f, 0.0, split).value
         right = adaptive_integral_1d(f, split, 1.0).value
         assert whole == pytest.approx(left + right, abs=1e-10)
+
+
+class TestGaussKronrodRule:
+    def test_kronrod_weights_sum_to_two(self):
+        assert abs(math.fsum(numerics._K15) - 2.0) <= 4e-16
+
+    def test_gauss_nodes_and_weights_match_legendre(self):
+        x7, w7 = np.polynomial.legendre.leggauss(7)
+        gauss = numerics._G7 > 0.0
+        order = np.argsort(numerics._NODES[gauss])
+        assert np.max(np.abs(numerics._NODES[gauss][order] - x7)) <= 1e-15
+        assert np.max(np.abs(numerics._G7[gauss][order] - w7)) <= 1e-15
+
+    def test_kronrod_rule_exact_to_degree_22(self):
+        for k in range(23):
+            got = math.fsum(numerics._K15 * numerics._NODES**k)
+            assert got == pytest.approx(2.0 / (k + 1) if k % 2 == 0 else 0.0, abs=1e-15)
 
 
 class TestSphereConstants:

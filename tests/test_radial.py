@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beltrami_lab.numerics import unit_sphere_area
+from beltrami_lab.numerics import adaptive_integral_1d, unit_sphere_area
 from beltrami_lab.radial import (
     Example2Profile,
     IdentityProfile,
@@ -154,6 +154,20 @@ class TestLehtoIntegral:
     def test_bad_interval(self):
         with pytest.raises(ValueError):
             lehto_integral(unit_weight(2), 0.9, 0.1)
+
+    def test_example1_deep_jumps_split_exactly(self):
+        # 9998 jumps in [1e-4, 1]: each is a breakpoint, so every annulus
+        # is one smooth panel and no jump is hunted down by bisection
+        w = example1_weight(2)
+        jumps = w.breakpoints(1e-4, 1.0)
+        res = adaptive_integral_1d(w.lehto_integrand(), 1e-4, 1.0, breakpoints=jumps)
+        # on (1/(j+1), 1/j) the integrand is t for odd j and 1/t for even j
+        exact = math.fsum(
+            0.5 * (1.0 / j**2 - 1.0 / (j + 1) ** 2) if j % 2 else math.log((j + 1) / j)
+            for j in range(1, 10000)
+        )
+        assert res.value == pytest.approx(exact, abs=1e-10, rel=0)
+        assert res.evaluations <= 15 * (len(jumps) + 64)
 
 
 class TestModulus:
