@@ -298,10 +298,6 @@ def _solve_config(n=512, half_width=2.0, **fields) -> SolveConfig:
     return SolveConfig(GridSpec.square(n, half_width), **fields)
 
 
-def _holder_config(compact_radius=HolderConfig.compact_radius, **fields) -> HolderConfig:
-    return HolderConfig(compact_radius, 1.0 - compact_radius, **fields)
-
-
 def _each_then_all(check, build, fields: dict):
     """build(**values) from fields {flag: (keyword, value)}.  Each flag is
     checked on its own first, the other keywords at build's defaults, and
@@ -351,7 +347,7 @@ def parse_config(argv: list) -> argparse.Namespace:
         cfg.scale_range = check("--scales", _scale_range, cfg.scale_range)
         if cfg.scale_range:
             lo, hi = cfg.scale_range
-            obj["holder_cfg"] = _each_then_all(check, _holder_config, {
+            obj["holder_cfg"] = _each_then_all(check, HolderConfig, {
                 "--compact-radius": ("compact_radius", cfg.compact_radius),
                 "--scales": ("dyadic_scales", tuple(2.0**-j for j in range(lo, hi + 1))),
                 "--pairs": ("pairs_per_scale", cfg.pairs),

@@ -319,23 +319,22 @@ class L1Report:
     shell_values: tuple
 
 
-def l1_norm(
-    weight: RadialWeight,
-    cfg: QuadratureConfig | None = None,
-    max_shells: int = 40,
-    growth_factor: float = 6.0,
-) -> L1Report:
+_L1_MAX_SHELLS = 40
+_L1_GROWTH_FACTOR = 6.0
+
+
+def l1_norm(weight: RadialWeight) -> L1Report:
     """Mass of the weight over the unit ball, by dyadic radial shells.
 
     Shell terms c_j integrate omega_{n-1} q(s) s^{n-1} over
     [2^{-j-1}, 2^{-j}].  The sum is declared convergent once the last three
     terms decay geometrically (ratio <= 0.6) and the geometric tail estimate
-    drops below tolerance; it is flagged divergent (value = inf, partial sum
-    reported) once at least 8 shells are in, the last three terms stay above
-    5% of the largest term, and the partial sum exceeds ``growth_factor``
-    times the largest single term.
+    drops below the quadrature tolerance; it is flagged divergent (value =
+    inf, partial sum reported) once at least 8 shells are in, the last three
+    terms stay above 5% of the largest term, and the partial sum exceeds 6
+    times the largest single term.  At most 40 shells are summed.
     """
-    cfg = cfg or QuadratureConfig(abs_tol=1e-10, rel_tol=1e-10)
+    tol = QuadratureConfig()  # the default each shell is integrated to
     omega = unit_sphere_area(weight.n)
     expn = weight.n - 1.0
 
@@ -345,12 +344,12 @@ def l1_norm(
     edges: list[tuple[float, float]] = []
     terms: list[float] = []
     partial = 0.0
-    for j in range(max_shells):
+    for j in range(_L1_MAX_SHELLS):
         hi = 2.0**-j
         lo = 2.0 ** -(j + 1)
         try:
             res = adaptive_integral_1d(
-                integrand, lo, hi, cfg, breakpoints=weight.breakpoints(lo, hi)
+                integrand, lo, hi, breakpoints=weight.breakpoints(lo, hi)
             )
             term = res.value
         except IntegrandNonFinite:
@@ -363,7 +362,7 @@ def l1_norm(
             if c2 <= 0.6 * c1 and c3 <= 0.6 * c2:
                 ratio = 0.0 if c2 == 0.0 else min(c3 / c2, 0.9)
                 tail = c3 * ratio / (1.0 - ratio)
-                if tail <= max(cfg.abs_tol, cfg.rel_tol * partial):
+                if tail <= max(tol.abs_tol, tol.rel_tol * partial):
                     return L1Report(
                         partial + tail, False, partial, tuple(edges), tuple(terms)
                     )
@@ -371,10 +370,10 @@ def l1_norm(
         if (
             len(terms) >= 8
             and min(terms[-3:]) >= 0.05 * biggest
-            and partial >= growth_factor * biggest
+            and partial >= _L1_GROWTH_FACTOR * biggest
         ):
             return L1Report(math.inf, True, partial, tuple(edges), tuple(terms))
-    if partial >= growth_factor * max(terms):
+    if partial >= _L1_GROWTH_FACTOR * max(terms):
         return L1Report(math.inf, True, partial, tuple(edges), tuple(terms))
     raise QuadratureNonConvergence(partial, math.inf, 0)
 
@@ -400,7 +399,6 @@ def spherical_integrability_scan(
     y0,
     radii: Sequence[float],
     n: int = 2,
-    cfg: QuadratureConfig | None = None,
 ) -> IntegrabilityScan:
     """Per-radius finiteness of the spherical mean of Q about y0, plus a
     trapezoid estimate of the measure of the radius set with finite mean."""
@@ -410,7 +408,7 @@ def spherical_integrability_scan(
         if isinstance(Q, RadialWeight):
             means.append(float(Q.q(r)))
         else:
-            means.append(spherical_mean(Q, y0, r, n, cfg))
+            means.append(spherical_mean(Q, y0, r, n))
     flags = [math.isfinite(v) for v in means]
     measure = 0.0
     for i in range(len(rs) - 1):
@@ -429,14 +427,17 @@ class DilatationReport:
     scan: IntegrabilityScan | None
 
 
+# build_dilatation_report probes K on this many points of a spiral in the disk
+_K_PROBE_POINTS = 400
+
+
 def build_dilatation_report(
     spec: MuSpec,
     weight: RadialWeight | None = None,
     scan_radii: Sequence[float] | None = None,
-    probe: int = 400,
 ) -> DilatationReport:
     """Assemble the standard diagnostics for a dilatation field."""
-    ts = (np.arange(probe) + 0.5) / probe
+    ts = (np.arange(_K_PROBE_POINTS) + 0.5) / _K_PROBE_POINTS
     pts = 0.97 * np.sqrt(ts) * np.exp(2j * math.pi * ts * 29.0)
     kvals = np.asarray(K_mu(spec.mu(pts)))
     l1 = l1_norm(weight) if weight is not None else None

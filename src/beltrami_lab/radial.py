@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -126,6 +127,10 @@ def _example1_phi(t: float, n: int) -> float:
 # Most jump radii example1_weight lists for one interval.  The cap bounds
 # memory; every scan, profile and the r = 1e-4 Lehto integral stay below it.
 _MAX_JUMPS = 2**16
+# Jumps listed for an interval reaching 0, which holds infinitely many.  The
+# rest are left to adaptive splitting; each listed one is a panel, and a
+# ball that diverges at 0 (fmo_statistic) integrates them all before failing.
+_ZERO_PREFIX_JUMPS = 64
 
 
 def example1_weight(n: int = 2) -> RadialWeight:
@@ -140,9 +145,10 @@ def example1_weight(n: int = 2) -> RadialWeight:
         if b <= a or b <= 0.0:
             return ()
         j_lo = max(2, math.ceil(1.0 / b))
-        j_hi = j_lo + _MAX_JUMPS
         if a > 0.0:
-            j_hi = min(j_hi, math.floor(1.0 / a))
+            j_hi = min(j_lo + _MAX_JUMPS, math.floor(1.0 / a))
+        else:
+            j_hi = j_lo + _ZERO_PREFIX_JUMPS
         return tuple(
             1.0 / j for j in range(j_lo, j_hi + 1) if a < 1.0 / j < b
         )
@@ -172,7 +178,6 @@ def spherical_mean(
     y0,
     r: float,
     n: int = 2,
-    cfg: QuadratureConfig | None = None,
 ) -> float:
     """Average of Q over the sphere S(y0, r).
 
@@ -201,18 +206,13 @@ def spherical_mean(
         return float(Q(p))
 
     try:
-        res = adaptive_integral_1d(integrand, 0.0, 2.0 * math.pi, cfg)
+        res = adaptive_integral_1d(integrand, 0.0, 2.0 * math.pi)
     except IntegrandNonFinite:
         return math.inf
     return res.value / (2.0 * math.pi)
 
 
-def lehto_integral(
-    w: RadialWeight,
-    r_lo: float,
-    r_hi: float,
-    cfg: QuadratureConfig | None = None,
-) -> float:
+def lehto_integral(w: RadialWeight, r_lo: float, r_hi: float) -> float:
     """integral_{r_lo}^{r_hi} dt / (t * q(t)^(1/(n-1))).
 
     Conventions: the integrand is 0 where q = inf and inf where q = 0 (an
@@ -229,7 +229,7 @@ def lehto_integral(
         return 0.0
     try:
         res = adaptive_integral_1d(
-            w.lehto_integrand(), r_lo, r_hi, cfg, breakpoints=w.breakpoints(r_lo, r_hi)
+            w.lehto_integrand(), r_lo, r_hi, breakpoints=w.breakpoints(r_lo, r_hi)
         )
     except IntegrandNonFinite:
         return math.inf
@@ -269,30 +269,6 @@ class RadialProfile:
     def _check_radius(self, r: float) -> None:
         if not (0.0 < r <= 1.0 + 1e-12):
             raise ValueError(f"profile radius {r!r} outside (0, 1]")
-
-
-@dataclass(frozen=True)
-class IdentityProfile(RadialProfile):
-    n: int = 2
-    kind: str = "identity"
-    kink_radii: tuple = ()
-
-    def value(self, r: float) -> float:
-        self._check_radius(r)
-        return min(float(r), 1.0)
-
-    def derivative(self, r: float, side: int = 0) -> float:
-        self._check_radius(r)
-        return 1.0
-
-    def inverse(self, s: float) -> float:
-        if not (0.0 <= s <= 1.0 + 1e-12):
-            raise ValueError(f"value {s!r} outside the profile range")
-        return min(float(s), 1.0)
-
-    @property
-    def rho_at_zero(self) -> float:
-        return 0.0
 
 
 class LimitStretchProfile(RadialProfile):
@@ -386,7 +362,18 @@ class Example2Profile(RadialProfile):
         return 0.0
 
 
-# NumericProfile.inverse brackets below r_floor in steps of 4 until under this
+class IdentityProfile(Example2Profile):
+    """The identity map: the truncated family at m = 1."""
+
+    kind = "identity"
+
+    def __init__(self, n: int = 2):
+        super().__init__(n, 1.0)
+
+
+# NumericProfile caches its suffix integrals at nodes down to this radius
+_R_FLOOR = 1e-3
+# NumericProfile.inverse brackets below _R_FLOOR in steps of 4 until under this
 _R_MIN = 1e-9
 
 
@@ -400,29 +387,22 @@ class NumericProfile(RadialProfile):
     """
 
     kind = "numeric"
+    # tolerance of every generating quadrature
+    QUAD = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12)
 
-    def __init__(
-        self,
-        weight: RadialWeight,
-        r_floor: float = 1e-3,
-        cfg: QuadratureConfig | None = None,
-    ):
-        if not (0.0 < r_floor < 0.5):
-            raise ValueError("r_floor must lie in (0, 0.5)")
+    def __init__(self, weight: RadialWeight):
         self.n = weight.n
         self.weight = weight
-        self.r_floor = float(r_floor)
-        self._cfg = cfg or QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12)
         self._g = weight.lehto_integrand()
-        lo_part = np.geomspace(self.r_floor, 0.1, 49)
+        lo_part = np.geomspace(_R_FLOOR, 0.1, 49)
         hi_part = np.linspace(0.1, 1.0, 181)
         nodes = set(np.concatenate([lo_part, hi_part]).tolist())
-        nodes.update(weight.breakpoints(self.r_floor, 1.0))
+        nodes.update(weight.breakpoints(_R_FLOOR, 1.0))
         self._nodes = np.array(sorted(nodes))
         segs = []
         for lo, hi in zip(self._nodes[:-1], self._nodes[1:]):
             res = adaptive_integral_1d(
-                self._g, lo, hi, self._cfg, breakpoints=weight.breakpoints(lo, hi)
+                self._g, lo, hi, self.QUAD, breakpoints=weight.breakpoints(lo, hi)
             )
             segs.append(res.value)
         segs = np.array(segs)
@@ -433,7 +413,7 @@ class NumericProfile(RadialProfile):
             )
         # suffix sums: tail[i] = integral from node i to 1
         self._tails = np.concatenate([np.cumsum(segs[::-1])[::-1], [0.0]])
-        self.kink_radii = tuple(weight.breakpoints(self.r_floor, 1.0))
+        self.kink_radii = tuple(weight.breakpoints(_R_FLOOR, 1.0))
 
     def _tail_from(self, r: float) -> float:
         """integral_r^1 of the generating integrand; may raise on divergence."""
@@ -446,29 +426,22 @@ class NumericProfile(RadialProfile):
         tail = float(self._tails[i])
         if node > r:
             res = adaptive_integral_1d(
-                self._g, r, node, self._cfg, breakpoints=self.weight.breakpoints(r, node)
+                self._g, r, node, self.QUAD, breakpoints=self.weight.breakpoints(r, node)
             )
             tail += res.value
         return tail
 
     def value(self, r: float) -> float:
-        v, degenerate = self.value_flagged(r)
-        return v
-
-    def value_flagged(self, r: float) -> tuple[float, bool]:
-        """(rho(r), degenerate) where degenerate means the generating
-        integral overflowed and rho is reported as 0."""
+        """rho(r), reported as 0 where the generating integral overflows."""
         self._check_radius(r)
         r = min(float(r), 1.0)
         try:
             tail = self._tail_from(r)
         except QuadratureNonConvergence as exc:
             if exc.estimate > 50.0:
-                return 0.0, True
+                return 0.0
             raise
-        if tail > 700.0:
-            return 0.0, True
-        return math.exp(-tail), False
+        return 0.0 if tail > 700.0 else math.exp(-tail)
 
     def derivative(self, r: float, side: int = 0) -> float:
         self._check_radius(r)
@@ -483,7 +456,7 @@ class NumericProfile(RadialProfile):
         if not (0.0 < s <= 1.0 + 1e-12):
             raise ValueError(f"value {s!r} outside the profile range")
         s = min(float(s), 1.0)
-        lo, hi = self.r_floor, 1.0
+        lo, hi = _R_FLOOR, 1.0
         # extend the bracket below the node floor, down to range_floor()
         while s < self.value(lo):
             if lo < _R_MIN:
@@ -493,7 +466,7 @@ class NumericProfile(RadialProfile):
 
     def range_floor(self) -> float:
         """rho at the deepest radius :meth:`inverse` brackets with."""
-        lo = self.r_floor
+        lo = _R_FLOOR
         while lo >= _R_MIN:
             lo *= 0.25
         return self.value(lo)
@@ -661,7 +634,6 @@ def inverse_poletsky_check(
     w: RadialWeight,
     r1: float,
     r2: float,
-    cfg: QuadratureConfig | None = None,
 ) -> PoletskyReport:
     """Modulus bound for the inverse map on the ring r1 < |y| < r2.
 
@@ -678,7 +650,7 @@ def inverse_poletsky_check(
     s1 = p.inverse(min(r1, 1.0))
     s2 = p.inverse(min(r2, 1.0))
     lhs = annulus_modulus(n, s1, s2)
-    lehto = lehto_integral(w, r1, min(r2, 1.0), cfg)
+    lehto = lehto_integral(w, r1, min(r2, 1.0))
     if lehto <= 0.0:
         return PoletskyReport(lhs, math.inf, True, lehto, (s1, s2), True)
     rhs = unit_sphere_area(n) / lehto ** (n - 1.0)
@@ -690,28 +662,18 @@ def inverse_poletsky_check(
 # plane integrals of the inner dilatation (n = 2 maps)
 
 
-def kip_integral_image_route(
-    g_profile: RadialProfile,
-    order_p: float,
-    cfg: QuadratureConfig | None = None,
-) -> float:
+def kip_integral_image_route(g_profile: RadialProfile, order_p: float) -> float:
     """integral over the unit disk of K_Ip(y, g) dm(y) for the radial map g,
     computed as 2 pi * int_0^1 K_Ip(s) s ds."""
 
     def integrand(s: float) -> float:
         return radial_K_Ip(g_profile, s, order_p) * s
 
-    res = adaptive_integral_1d(
-        integrand, 1e-12, 1.0, cfg, breakpoints=g_profile.kink_radii
-    )
+    res = adaptive_integral_1d(integrand, 1e-12, 1.0, breakpoints=g_profile.kink_radii)
     return 2.0 * math.pi * res.value
 
 
-def kip_integral_source_route(
-    f_profile: RadialProfile,
-    order_p: float,
-    cfg: QuadratureConfig | None = None,
-) -> float:
+def kip_integral_source_route(f_profile: RadialProfile, order_p: float) -> float:
     """Same integral through the change of variables w = f(z): the p-energy
     2 pi * int_0^1 max(tangential, radial)^p s ds of the forward map f."""
 
@@ -719,29 +681,18 @@ def kip_integral_source_route(
         fac = radial_stretch_factors(f_profile, s)
         return max(fac.tangential, fac.radial) ** order_p * s
 
-    res = adaptive_integral_1d(
-        integrand, 1e-12, 1.0, cfg, breakpoints=f_profile.kink_radii
-    )
+    res = adaptive_integral_1d(integrand, 1e-12, 1.0, breakpoints=f_profile.kink_radii)
     return 2.0 * math.pi * res.value
 
 
 def weight_from_function(
-    Q: Callable,
-    n: int = 2,
-    center=None,
-    cfg: QuadratureConfig | None = None,
-    name: str = "mean",
+    Q: Callable, n: int = 2, center=None, name: str = "mean"
 ) -> RadialWeight:
     """Radial weight r -> spherical mean of Q over S(center, r)."""
     y0 = np.zeros(n) if center is None else np.asarray(center, dtype=float)
-    cache: dict[float, float] = {}
 
+    @lru_cache(maxsize=65536)
     def q(r: float) -> float:
-        v = cache.get(r)
-        if v is None:
-            v = spherical_mean(Q, y0, r, n, cfg)
-            if len(cache) < 65536:
-                cache[r] = v
-        return v
+        return spherical_mean(Q, y0, r, n)
 
     return RadialWeight(n, q, name=name)

@@ -69,6 +69,17 @@ __all__ = [
 ]
 
 JUMP_BAND_CELLS = 2.0
+# mu is averaged over ANTIALIAS_SUBCELLS^2 points in each cell within
+# ANTIALIAS_BAND_CELLS cells of a jump circle
+ANTIALIAS_SUBCELLS = 8
+ANTIALIAS_BAND_CELLS = 1.5
+# the residual is taken on |z| <= RESIDUAL_RADIUS, and solutions are
+# compared on |z| <= COMPARE_RADIUS
+RESIDUAL_RADIUS = 0.95
+COMPARE_RADIUS = 0.9
+# disk cell weights sample each cell the unit circle crosses at
+# DISK_SUBCELLS^2 points
+DISK_SUBCELLS = 4
 # G4 = sum' (a + ib)^-4 over the unit square lattice (the lemniscatic case)
 G4_SQUARE_LATTICE = math.gamma(0.25) ** 8 / (960.0 * math.pi**2)
 
@@ -200,8 +211,6 @@ class SolveConfig:
     grid: GridSpec = field(default_factory=lambda: GridSpec.square(512, 2.0))
     fix_tol: float = 1e-10
     max_iter: int = 200
-    antialias_subcells: int = 8
-    antialias_band_cells: float = 1.5
 
     def __post_init__(self) -> None:
         g = self.grid
@@ -213,8 +222,6 @@ class SolveConfig:
             raise ValueError("fix_tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.antialias_subcells < 0:
-            raise ValueError("antialias_subcells must be >= 0")
 
 
 @dataclass
@@ -248,25 +255,23 @@ def _subcell_points(grid: GridSpec, zz: np.ndarray, cells: np.ndarray, sub: int)
     return iy, ix, zz[iy, ix][:, None] + (ox + 1j * oy).ravel()[None, :]
 
 
-def _sample_mu(spec: MuSpec, grid: GridSpec, cfg: SolveConfig) -> np.ndarray:
+def _sample_mu(spec: MuSpec, grid: GridSpec) -> np.ndarray:
     zz = grid.zz()
     data = np.asarray(spec.mu(zz), dtype=np.complex128)
-    sub = cfg.antialias_subcells
-    if sub > 1:
-        step = max(grid.dx, grid.dy)
-        r = np.abs(zz)
-        for rc in spec.jump_radii():
-            band = np.abs(r - rc) <= cfg.antialias_band_cells * step
-            if band.any():
-                iy, ix, pts = _subcell_points(grid, zz, band, sub)
-                data[iy, ix] = np.asarray(spec.mu(pts)).mean(axis=1)
+    step = max(grid.dx, grid.dy)
+    r = np.abs(zz)
+    for rc in spec.jump_radii():
+        band = np.abs(r - rc) <= ANTIALIAS_BAND_CELLS * step
+        if band.any():
+            iy, ix, pts = _subcell_points(grid, zz, band, ANTIALIAS_SUBCELLS)
+            data[iy, ix] = np.asarray(spec.mu(pts)).mean(axis=1)
     return data
 
 
-def _retained_mask(grid: GridSpec, spec: MuSpec, radius: float = 0.95) -> np.ndarray:
+def _retained_mask(grid: GridSpec, spec: MuSpec) -> np.ndarray:
     zz = grid.zz()
     r = np.abs(zz)
-    keep = r <= radius
+    keep = r <= RESIDUAL_RADIUS
     step = max(grid.dx, grid.dy)
     for rc in spec.jump_radii():
         keep &= np.abs(r - rc) > JUMP_BAND_CELLS * step
@@ -323,7 +328,7 @@ def solve_principal(mu: MuSpec, cfg: SolveConfig | None = None) -> SolveResult:
     cfg = cfg or SolveConfig()
     grid = cfg.grid
     t0 = time.perf_counter()
-    mu_data = _sample_mu(mu, grid, cfg)
+    mu_data = _sample_mu(mu, grid)
     sup = float(np.max(np.abs(mu_data)))
     if sup >= 1.0 - 1e-9:
         raise ContractionError(f"ess-sup |mu| = {sup:.12f} is not below 1")
@@ -371,16 +376,16 @@ def residual_report(res: SolveResult) -> ResidualReport:
     )
 
 
-def sup_distance(a: ComplexField, b: ComplexField, radius: float = 0.9) -> float:
-    """Sup of |a - b| over {|z| <= radius}; fields must share a grid."""
+def sup_distance(a: ComplexField, b: ComplexField) -> float:
+    """Sup of |a - b| over {|z| <= COMPARE_RADIUS}; fields must share a grid."""
     if a.grid != b.grid:
         raise ValueError("fields live on different grids")
-    mask = np.abs(a.grid.zz()) <= radius
+    mask = np.abs(a.grid.zz()) <= COMPARE_RADIUS
     return float(np.max(np.abs(a.data - b.data)[mask]))
 
 
 @lru_cache(maxsize=8)
-def _disk_cell_weights(grid: GridSpec, subsample: int = 4) -> np.ndarray:
+def _disk_cell_weights(grid: GridSpec) -> np.ndarray:
     """Fraction of each cell inside the unit disk (subsampled at partial
     cells); cached per grid."""
     zz = grid.zz()
@@ -389,32 +394,30 @@ def _disk_cell_weights(grid: GridSpec, subsample: int = 4) -> np.ndarray:
     w = np.zeros(r.shape)
     w[r <= 1.0 - half_diag] = 1.0
     part = (r < 1.0 + half_diag) & (r > 1.0 - half_diag)
-    iy, ix, pts = _subcell_points(grid, zz, part, subsample)
+    iy, ix, pts = _subcell_points(grid, zz, part, DISK_SUBCELLS)
     w[iy, ix] = (np.abs(pts) <= 1.0).mean(axis=1)
     return w
 
 
-def grid_kip_integral(res: SolveResult, order_p: float, subsample: int = 4) -> float:
+def grid_kip_integral(res: SolveResult, order_p: float) -> float:
     """Integral of the order-p inner dilatation of the inverse map over the
     image of the unit disk, computed in source coordinates as the integral
     of the operator norm ||f'||^p = (|f_z| + |f_zbar|)^p."""
     check_order_p(order_p)
     grid = res.f.grid
-    w = _disk_cell_weights(grid, subsample)
+    w = _disk_cell_weights(grid)
     norm = np.abs(res.f_z.data) + np.abs(res.f_zbar.data)
     return float(np.sum(norm**order_p * w) * grid.cell_area)
 
 
-def grid_kip_integral_image_route(
-    res: SolveResult, order_p: float, subsample: int = 4
-) -> float:
+def grid_kip_integral_image_route(res: SolveResult, order_p: float) -> float:
     """Same integral via the image-side route: the inner dilatation of the
     inverse at f(z), times the Jacobian, integrated over the disk.  A
     genuinely different arithmetic path from grid_kip_integral, used to
     cross-check the change of variables."""
     check_order_p(order_p)
     grid = res.f.grid
-    w = _disk_cell_weights(grid, subsample)
+    w = _disk_cell_weights(grid)
     az = np.abs(res.f_z.data)
     ab = np.abs(res.f_zbar.data)
     jac = az * az - ab * ab
@@ -475,7 +478,7 @@ def truncation_scheme(
         cfg_k = replace(cfg, max_iter=max(cfg.max_iter, estimate))
         per_k.append(solve_principal(spec_k, cfg_k))
     dists = tuple(
-        sup_distance(a.f, b.f, 0.9) for a, b in zip(per_k, per_k[1:])
+        sup_distance(a.f, b.f) for a, b in zip(per_k, per_k[1:])
     )
     integrals = tuple(grid_kip_integral(r, order_p) for r in per_k)
     if any(not math.isfinite(v) for v in integrals):

@@ -22,9 +22,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .dilatation import l1_norm
 from .numerics import (
     IntegrandNonFinite,
-    QuadratureConfig,
     QuadratureNonConvergence,
     adaptive_integral_1d,
     unit_ball_volume,
@@ -46,26 +46,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HolderConfig:
-    """Sampling plan for the continuity scan.
+    """Sampling plan for the continuity scan of a planar map.
 
     The compact is {|z| <= compact_radius}; r0 is its distance to the unit
     circle.  Scales are the pair separations, decreasing.
     """
 
     compact_radius: float = 0.75
-    r0: float = 0.25
     dyadic_scales: tuple = tuple(2.0**-j for j in range(3, 15))
     pairs_per_scale: int = 2000
-    n: int = 2
     seed: int = 0
 
     def __post_init__(self) -> None:
         if not (0.0 < self.compact_radius < 1.0):
             raise ValueError("compact_radius must lie in (0, 1)")
-        if not (self.r0 > 0.0):
-            raise ValueError("r0 must be positive")
-        if self.compact_radius + self.r0 > 1.0 + 1e-12:
-            raise ValueError("compact must fit in the unit disk: radius + r0 <= 1")
         sc = self.dyadic_scales
         # holder_scan's bounded flag compares the three finest scales
         if len(sc) < 3 or any(b >= a for a, b in zip(sc, sc[1:])):
@@ -74,8 +68,10 @@ class HolderConfig:
             raise ValueError("scales must lie in (0, 2 * compact_radius)")
         if self.pairs_per_scale < 1:
             raise ValueError("pairs_per_scale must be positive")
-        if self.n < 2:
-            raise ValueError("dimension must be >= 2")
+
+    @property
+    def r0(self) -> float:
+        return 1.0 - self.compact_radius
 
 
 @dataclass(frozen=True)
@@ -140,8 +136,6 @@ def holder_scan(
     """
     cfg = cfg or HolderConfig()
     if isinstance(Q, RadialWeight):
-        from .dilatation import l1_norm
-
         q_l1 = l1_norm(Q).value
     elif Q is None:
         q_l1 = math.nan
@@ -163,12 +157,12 @@ def holder_scan(
         vals = np.asarray(f(np.concatenate([xs, ys])))
         diffs = np.abs(vals[: len(xs)] - vals[len(xs):])
         dist = np.abs(xs - ys)
-        prods = diffs * _log_factor(dist, cfg.r0, cfg.n)
+        prods = diffs * _log_factor(dist, cfg.r0, 2)
         maxima.append(float(prods.max()))
     a, b, c = maxima[-3], maxima[-2], maxima[-1]
     growing = c > b > a and c >= 1.05 * a
     top = max(maxima)
-    emp = top / q_l1 ** (1.0 / cfg.n) if math.isfinite(q_l1) else math.nan
+    emp = top / q_l1 ** 0.5 if math.isfinite(q_l1) else math.nan
     return HolderReport(
         scales=tuple(cfg.dyadic_scales),
         per_scale_max_product=tuple(maxima),
@@ -194,7 +188,6 @@ def lehto_divergence_scan(
     w0,
     delta: float,
     cutoffs: Sequence[float],
-    cfg: QuadratureConfig | None = None,
 ) -> LehtoScan:
     """Values of the integral of dt/(t q(t)) from each cutoff up to delta,
     with a growth classification as the cutoff shrinks.
@@ -218,10 +211,10 @@ def lehto_divergence_scan(
     increments = []
     normalized = []
     try:
-        total = lehto_integral(w, cuts[0], delta, cfg)
+        total = lehto_integral(w, cuts[0], delta)
         values.append(total)
         for prev, cur in zip(cuts, cuts[1:]):
-            seg = lehto_integral(w, cur, prev, cfg)
+            seg = lehto_integral(w, cur, prev)
             increments.append(seg)
             normalized.append(seg / math.log(prev / cur))
             total += seg
@@ -266,14 +259,13 @@ class FmoEntry:
     divergent: bool
 
 
-def _ball_integral(mean_at, eps: float, n: int, cfg: QuadratureConfig | None,
-                   breakpoints=()) -> float:
+def _ball_integral(mean_at, eps: float, n: int, breakpoints=()) -> float:
     omega = unit_sphere_area(n)
 
     def integrand(r: float) -> float:
         return omega * r ** (n - 1) * mean_at(r)
 
-    return adaptive_integral_1d(integrand, 0.0, eps, cfg, breakpoints=breakpoints).value
+    return adaptive_integral_1d(integrand, 0.0, eps, breakpoints=breakpoints).value
 
 
 def fmo_statistic(
@@ -281,7 +273,6 @@ def fmo_statistic(
     x0,
     eps_list: Sequence[float],
     n: int = 2,
-    cfg: QuadratureConfig | None = None,
 ) -> list[FmoEntry]:
     """Mean oscillation of Q over balls B(x0, eps): the ball average of
     |Q - ball mean|, both integrals by the same radial quadrature.  A
@@ -300,7 +291,7 @@ def fmo_statistic(
         breaks = Q.breakpoints
     else:
         def mean_q(r: float) -> float:
-            return spherical_mean(Q, x0, r, n, cfg)
+            return spherical_mean(Q, x0, r, n)
 
         def breaks(a: float, b: float):
             return ()
@@ -310,7 +301,7 @@ def fmo_statistic(
         vol = unit_ball_volume(n) * eps**n
         bps = breaks(0.0, eps)
         try:
-            ball_mean = _ball_integral(mean_q, eps, n, cfg, bps) / vol
+            ball_mean = _ball_integral(mean_q, eps, n, bps) / vol
             if not math.isfinite(ball_mean):
                 raise IntegrandNonFinite(0.0, ball_mean)
             if isinstance(Q, RadialWeight):
@@ -319,9 +310,9 @@ def fmo_statistic(
             else:
                 def osc_at(r: float, m=ball_mean) -> float:
                     return spherical_mean(
-                        lambda pts: np.abs(np.asarray(Q(pts)) - m), x0, r, n, cfg
+                        lambda pts: np.abs(np.asarray(Q(pts)) - m), x0, r, n
                     )
-            osc = _ball_integral(osc_at, eps, n, cfg, bps) / vol
+            osc = _ball_integral(osc_at, eps, n, bps) / vol
             if not math.isfinite(osc):
                 raise IntegrandNonFinite(0.0, osc)
             out.append(FmoEntry(eps=eps, value=osc, divergent=False))

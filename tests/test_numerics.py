@@ -1,3 +1,5 @@
+import importlib
+import inspect
 import math
 
 import numpy as np
@@ -202,3 +204,26 @@ class TestSphereConstants:
     @pytest.mark.parametrize("n", [2, 3, 5, 7])
     def test_area_volume_relation(self, n):
         assert unit_sphere_area(n) == pytest.approx(n * unit_ball_volume(n), rel=1e-12)
+
+
+@pytest.mark.parametrize("module", ["radial", "dilatation", "verify", "solver"])
+def test_quadrature_config_is_not_passed_through(module):
+    # the layers above numerics integrate at fixed tolerances; only
+    # adaptive_integral_1d takes a QuadratureConfig
+    mod = importlib.import_module(f"beltrami_lab.{module}")
+    taking = []
+    for name in mod.__all__:
+        obj = getattr(mod, name)
+        if inspect.isclass(obj) and issubclass(obj, Exception):
+            continue
+        members = {name: obj}
+        if inspect.isclass(obj):
+            members.update((f"{name}.{k}", v) for k, v in vars(obj).items()
+                           if not k.startswith("_") and callable(v))
+        for label, fn in members.items():
+            if not callable(fn):
+                continue
+            params = inspect.signature(fn).parameters.values()
+            taking += [f"{label}({p.name})" for p in params
+                       if "QuadratureConfig" in str(p.annotation)]
+    assert taking == []

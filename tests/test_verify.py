@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beltrami_lab.numerics import QuadratureConfig
+from beltrami_lab import verify
+from beltrami_lab.numerics import QuadratureNonConvergence
 from beltrami_lab.radial import (
     RadialWeight,
     example1_weight,
@@ -128,15 +129,15 @@ class TestHolderScan:
         with pytest.raises(ValueError):
             HolderConfig(compact_radius=1.2)
         with pytest.raises(ValueError):
-            HolderConfig(r0=0.5)  # compact 0.75 + 0.5 leaves the disk
-        with pytest.raises(ValueError):
             HolderConfig(dyadic_scales=(0.25, 0.25))
         with pytest.raises(ValueError):
             HolderConfig(dyadic_scales=(2.0, 1.0))
         with pytest.raises(ValueError):
             HolderConfig(pairs_per_scale=0)
-        with pytest.raises(ValueError):
-            HolderConfig(n=1)
+
+    def test_r0_is_the_distance_to_the_circle(self):
+        assert HolderConfig().r0 == 0.25
+        assert HolderConfig(compact_radius=0.6).r0 == 0.4
 
     def test_scan_needs_three_scales(self):
         # the bounded flag compares the three finest scales; two scales
@@ -190,13 +191,12 @@ class TestLehtoDivergenceScan:
         assert all(v == math.inf for v in sc.values)
         assert sc.diagnostics is None
 
-    def test_quadrature_failure_reported(self):
-        w = RadialWeight(
-            2, lambda t: 1.0 / (1.0 + math.sin(20.0 / t) ** 2), name="wobble"
-        )
-        sc = lehto_divergence_scan(
-            w, 0.0, 0.5, self.CUTS[:3], QuadratureConfig(max_depth=3)
-        )
+    def test_quadrature_failure_reported(self, monkeypatch):
+        def no_convergence(*args):
+            raise QuadratureNonConvergence(0.0, math.inf, 0)
+
+        monkeypatch.setattr(verify, "lehto_integral", no_convergence)
+        sc = lehto_divergence_scan(unit_weight(2), 0.0, 0.5, self.CUTS[:3])
         assert sc.classification == "inconclusive"
         assert sc.diagnostics is not None
         assert sc.diagnostics.startswith("quadrature failure")
@@ -250,9 +250,10 @@ class TestFmoStatistic:
             assert a.eps == b.eps
 
     def test_non_integrable_weight_flagged(self):
-        entries = fmo_statistic(power_weight(2), 0.0, (0.5,))
-        assert entries[0].divergent
-        assert entries[0].value == math.inf
+        for w in (power_weight(2), example1_weight(2)):
+            entries = fmo_statistic(w, 0.0, (0.5,))
+            assert entries[0].divergent
+            assert entries[0].value == math.inf
 
     def test_bounded_weight_bounded_statistic(self):
         w = truncated_power_weight(2, 2)
