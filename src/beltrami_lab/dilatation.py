@@ -40,7 +40,6 @@ from .numerics import (
 from .radial import (
     Example2Profile,
     RadialWeight,
-    check_order_p,
     power_weight,
     spherical_mean,
 )
@@ -52,8 +51,6 @@ __all__ = [
     "K_mu",
     "check_level",
     "truncate_mu",
-    "mu_of_inverse",
-    "K_Ip_field",
     "L1Report",
     "l1_norm",
     "IntegrabilityScan",
@@ -270,40 +267,6 @@ def K_mu(mu_value):
 def truncate_mu(spec: MuSpec, k: float) -> MuSpec:
     """Zero the field wherever its maximal dilatation exceeds k."""
     return replace(spec, k_cap=min(spec.k_cap, check_level(k)))
-
-
-def mu_of_inverse(f_z, f_zbar):
-    """Dilatation of the inverse map at the image point:
-    mu_g(f(z)) = -f_zbar / conj(f_z); same modulus as mu_f."""
-    fz = np.asarray(f_z, dtype=np.complex128)
-    fzb = np.asarray(f_zbar, dtype=np.complex128)
-    if np.any(np.abs(fz) <= np.abs(fzb)):
-        raise ValueError("degenerate derivative pair: need |f_z| > |f_zbar|")
-    out = -fzb / np.conj(fz)
-    return out if out.shape else complex(out)
-
-
-def K_Ip_field(fz: ComplexField, fzbar: ComplexField, order_p: float) -> ComplexField:
-    """Pointwise inner dilatation of order p from Wirtinger derivative fields.
-
-    (|f_z|^2 - |f_zbar|^2) / (|f_z| - |f_zbar|)^p, with value 1 where both
-    derivatives vanish and inf where the Jacobian is non-positive without
-    both vanishing.  Returns a real-valued extended field.
-    """
-    check_order_p(order_p)
-    if fz.grid != fzbar.grid:
-        raise ValueError("derivative fields live on different grids")
-    az = np.abs(fz.data)
-    ab = np.abs(fzbar.data)
-    if not (np.all(np.isfinite(az)) and np.all(np.isfinite(ab))):
-        if not (fz.extended and fzbar.extended):
-            raise ValueError("non-finite derivative samples in a non-extended field")
-    both_zero = (az + ab) == 0.0
-    diff = az - ab
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = (az * az - ab * ab) / np.where(diff > 0.0, diff, 1.0) ** order_p
-    out = np.where(both_zero, 1.0, np.where(diff > 0.0, vals, np.inf))
-    return ComplexField(fz.grid, out.astype(np.complex128), extended=True)
 
 
 # ---------------------------------------------------------------------------

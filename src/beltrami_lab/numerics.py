@@ -85,25 +85,14 @@ class GridSpec:
         """Complex coordinates z = x + iy, shape (ny, nx)."""
         return self.xs()[None, :] + 1j * self.ys()[:, None]
 
-    def covers_disk(self, radius: float = 1.0, margin: float = 0.0) -> bool:
-        r = radius + margin
-        return (
-            self.x_min < -r and self.x_max > r and self.y_min < -r and self.y_max > r
-        )
-
 
 @dataclass
 class ComplexField:
-    """Complex samples on a :class:`GridSpec`.
-
-    ``extended=True`` marks fields that may legitimately hold ``inf``
-    entries (pointwise dilatation quotients); otherwise non-finite data is
-    rejected at construction.
-    """
+    """Finite complex samples on a :class:`GridSpec`; non-finite data is
+    rejected at construction."""
 
     grid: GridSpec
     data: np.ndarray
-    extended: bool = False
 
     def __post_init__(self) -> None:
         self.data = np.asarray(self.data, dtype=np.complex128)
@@ -112,11 +101,8 @@ class ComplexField:
                 f"data shape {self.data.shape} does not match grid "
                 f"({self.grid.ny}, {self.grid.nx})"
             )
-        if not self.extended and not np.all(np.isfinite(self.data)):
-            raise ValueError("non-finite samples in a field not flagged as extended")
-
-    def copy_with(self, data: np.ndarray, extended: bool | None = None) -> "ComplexField":
-        return ComplexField(self.grid, data, self.extended if extended is None else extended)
+        if not np.all(np.isfinite(self.data)):
+            raise ValueError("non-finite samples in a field")
 
 
 def wirtinger_derivatives(field: ComplexField) -> tuple[ComplexField, ComplexField]:
@@ -132,7 +118,7 @@ def wirtinger_derivatives(field: ComplexField) -> tuple[ComplexField, ComplexFie
     fy = np.gradient(field.data, field.grid.dy, axis=0, edge_order=2)
     fz = 0.5 * (fx - 1j * fy)
     fzbar = 0.5 * (fx + 1j * fy)
-    return field.copy_with(fz), field.copy_with(fzbar)
+    return ComplexField(field.grid, fz), ComplexField(field.grid, fzbar)
 
 
 def wirtinger_at_point(

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -35,7 +34,6 @@ __all__ = [
     "power_weight",
     "example1_weight",
     "truncated_power_weight",
-    "weight_from_function",
     "spherical_mean",
     "lehto_integral",
     "RadialProfile",
@@ -44,8 +42,6 @@ __all__ = [
     "LimitStretchProfile",
     "NumericProfile",
     "InverseProfile",
-    "radial_map_eval",
-    "radial_map_invert",
     "StretchFactors",
     "radial_stretch_factors",
     "check_order_p",
@@ -244,7 +240,6 @@ class RadialProfile:
     """Increasing profile rho on (0, 1] with rho(1) = 1 (or the map's range cap)."""
 
     n: int = 2
-    kind: str = "abstract"
     kink_radii: tuple = ()
 
     def value(self, r: float) -> float:
@@ -274,8 +269,6 @@ class RadialProfile:
 class LimitStretchProfile(RadialProfile):
     """rho(r) = exp(((n-1)/n) (r^(n/(n-1)) - 1)), the m -> inf limit of
     the truncated family; for n = 2 this is exp((r^2 - 1)/2)."""
-
-    kind = "example4-limit"
 
     def __init__(self, n: int = 2):
         if n < 2:
@@ -314,8 +307,6 @@ class LimitStretchProfile(RadialProfile):
 class Example2Profile(RadialProfile):
     """Truncated power-weight profile: linear scaling inside radius 1/m,
     the limit-stretch branch outside.  m = 1 degenerates to the identity."""
-
-    kind = "example2"
 
     def __init__(self, n: int = 2, m: float = 2.0):
         if n < 2:
@@ -365,8 +356,6 @@ class Example2Profile(RadialProfile):
 class IdentityProfile(Example2Profile):
     """The identity map: the truncated family at m = 1."""
 
-    kind = "identity"
-
     def __init__(self, n: int = 2):
         super().__init__(n, 1.0)
 
@@ -386,7 +375,6 @@ class NumericProfile(RadialProfile):
     tolerance and the profile is strictly increasing by construction.
     """
 
-    kind = "numeric"
     # tolerance of every generating quadrature
     QUAD = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12)
 
@@ -471,11 +459,6 @@ class NumericProfile(RadialProfile):
             lo *= 0.25
         return self.value(lo)
 
-    @property
-    def table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Monotone sample table (r_i, rho(r_i)) at the cached nodes."""
-        return self._nodes.copy(), np.exp(-self._tails)
-
 
 class InverseProfile(RadialProfile):
     """Profile of the inverse map of a strictly increasing base profile."""
@@ -485,7 +468,6 @@ class InverseProfile(RadialProfile):
             raise ValueError("inverse profile needs rho(1) = 1 on the base")
         self.base = base
         self.n = base.n
-        self.kind = f"inverse:{base.kind}"
         self.kink_radii = tuple(base.value(t) for t in base.kink_radii)
 
     def value(self, r: float) -> float:
@@ -529,62 +511,22 @@ def _monotone_root(fn: Callable[[float], float], lo: float, hi: float, target: f
     return 0.5 * (lo + hi)
 
 
-# ---------------------------------------------------------------------------
-# maps built from profiles
-
-
-def radial_map_eval(p: RadialProfile, x) -> np.ndarray:
-    """Evaluate the radial map (x/|x|) rho(|x|) at a point of the closed unit ball."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (p.n,):
-        raise ValueError(f"point must lie in R^{p.n}")
-    r = float(np.linalg.norm(x))
-    if r == 0.0:
-        return np.zeros(p.n)
-    if r > 1.0 + 1e-12:
-        raise ValueError(f"|x| = {r!r} outside the closed unit ball")
-    return (x / r) * p.value(min(r, 1.0))
-
-
-def radial_map_invert(p: RadialProfile, y) -> np.ndarray:
-    """Invert the radial map at y; |y| must lie in the profile's range."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (p.n,):
-        raise ValueError(f"point must lie in R^{p.n}")
-    s = float(np.linalg.norm(y))
-    if s == 0.0:
-        if p.rho_at_zero == 0.0:
-            return np.zeros(p.n)
-        raise ValueError("0 is not in the image of this radial map")
-    if s > 1.0 + 1e-12:
-        raise ValueError(f"|y| = {s!r} outside the closed unit ball")
-    r = p.inverse(min(s, 1.0))
-    return (y / s) * r
-
-
 class StretchFactors(NamedTuple):
     tangential: float
     radial: float
-    at_kink: bool = False
-    radial_sides: tuple | None = None
 
 
 def radial_stretch_factors(p: RadialProfile, s: float) -> StretchFactors:
     """(rho(s)/s, rho'(s)) at radius s.
 
     At a profile kink the radial factor is two-valued; the returned
-    ``radial`` is the outer-branch (right) value, with both one-sided
-    values in ``radial_sides`` and ``at_kink`` set.
+    ``radial`` is the outer-branch (right) value.
     """
     if not (0.0 < s <= 1.0):
         raise ValueError(f"radius {s!r} outside (0, 1]")
     tangential = p.value(s) / s
-    for t in p.kink_radii:
-        if abs(s - t) <= 1e-12 * max(t, 1.0):
-            left = p.derivative(s, side=-1)
-            right = p.derivative(s, side=+1)
-            return StretchFactors(tangential, right, True, (left, right))
-    return StretchFactors(tangential, p.derivative(s))
+    at_kink = any(abs(s - t) <= 1e-12 * max(t, 1.0) for t in p.kink_radii)
+    return StretchFactors(tangential, p.derivative(s, side=1 if at_kink else 0))
 
 
 def check_order_p(order_p: float) -> float:
@@ -683,16 +625,3 @@ def kip_integral_source_route(f_profile: RadialProfile, order_p: float) -> float
 
     res = adaptive_integral_1d(integrand, 1e-12, 1.0, breakpoints=f_profile.kink_radii)
     return 2.0 * math.pi * res.value
-
-
-def weight_from_function(
-    Q: Callable, n: int = 2, center=None, name: str = "mean"
-) -> RadialWeight:
-    """Radial weight r -> spherical mean of Q over S(center, r)."""
-    y0 = np.zeros(n) if center is None else np.asarray(center, dtype=float)
-
-    @lru_cache(maxsize=65536)
-    def q(r: float) -> float:
-        return spherical_mean(Q, y0, r, n)
-
-    return RadialWeight(n, q, name=name)

@@ -63,7 +63,6 @@ __all__ = [
     "residual_report",
     "sup_distance",
     "grid_kip_integral",
-    "grid_kip_integral_image_route",
     "truncation_scheme",
     "beurling_norm_estimate",
 ]
@@ -408,24 +407,6 @@ def grid_kip_integral(res: SolveResult, order_p: float) -> float:
     w = _disk_cell_weights(grid)
     norm = np.abs(res.f_z.data) + np.abs(res.f_zbar.data)
     return float(np.sum(norm**order_p * w) * grid.cell_area)
-
-
-def grid_kip_integral_image_route(res: SolveResult, order_p: float) -> float:
-    """Same integral via the image-side route: the inner dilatation of the
-    inverse at f(z), times the Jacobian, integrated over the disk.  A
-    genuinely different arithmetic path from grid_kip_integral, used to
-    cross-check the change of variables."""
-    check_order_p(order_p)
-    grid = res.f.grid
-    w = _disk_cell_weights(grid)
-    az = np.abs(res.f_z.data)
-    ab = np.abs(res.f_zbar.data)
-    jac = az * az - ab * ab
-    diff = az - ab
-    if np.any((jac <= 0.0) & (w > 0.0)):
-        raise ValueError("non-positive Jacobian inside the disk")
-    kip_of_inverse = jac ** (order_p - 1.0) / diff**order_p
-    return float(np.sum(kip_of_inverse * jac * w) * grid.cell_area)
 
 
 @dataclass

@@ -83,20 +83,23 @@ class HolderReport:
     bounded_flag: bool
 
 
-def _log_factor(dist, r0: float, n: int):
-    return np.log1p(r0 / (2.0 * dist)) ** (1.0 / n)
-
-
-def holder_product(f: Callable, x: complex, y: complex, r0: float, n: int = 2) -> float:
-    """|f(x) - f(y)| ln^{1/n}(1 + r0/(2|x - y|)); 0 at x = y (the
-    continuous extension)."""
+def holder_product(f: Callable, x, y, r0: float, n: int = 2):
+    """|f(x) - f(y)| ln^{1/n}(1 + r0/(2|x - y|)) at two points, or
+    elementwise at two equal-shape arrays of points; 0 where x = y (the
+    continuous extension).  f is evaluated once, on x and y together."""
     if not (r0 > 0.0):
         raise ValueError("r0 must be positive")
-    if x == y:
-        return 0.0
-    vals = np.asarray(f(np.array([x, y], dtype=np.complex128)))
-    dist = abs(x - y)
-    return float(abs(vals[0] - vals[1]) * _log_factor(dist, r0, n))
+    x = np.asarray(x, dtype=np.complex128)
+    y = np.asarray(y, dtype=np.complex128)
+    if x.shape != y.shape:
+        raise ValueError("x and y must have the same shape")
+    vals = np.asarray(f(np.concatenate([x.ravel(), y.ravel()])))
+    diffs = np.abs(vals[: x.size] - vals[x.size:])
+    dist = np.abs(x - y).ravel()
+    out = np.zeros(x.size)
+    apart = dist > 0.0
+    out[apart] = diffs[apart] * np.log1p(r0 / (2.0 * dist[apart])) ** (1.0 / n)
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 def _generic_pairs(rng, count: int, radius: float, scale: float):
@@ -154,11 +157,7 @@ def holder_scan(
             ys = np.concatenate([by, gy])
         else:
             xs, ys = _generic_pairs(rng, m, cfg.compact_radius, scale)
-        vals = np.asarray(f(np.concatenate([xs, ys])))
-        diffs = np.abs(vals[: len(xs)] - vals[len(xs):])
-        dist = np.abs(xs - ys)
-        prods = diffs * _log_factor(dist, cfg.r0, 2)
-        maxima.append(float(prods.max()))
+        maxima.append(float(holder_product(f, xs, ys, cfg.r0).max()))
     a, b, c = maxima[-3], maxima[-2], maxima[-1]
     growing = c > b > a and c >= 1.05 * a
     top = max(maxima)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from beltrami_lab.dilatation import (
     FAMILIES,
-    K_Ip_field,
     K_mu,
     L1Report,
     MuSpec,
@@ -21,7 +20,6 @@ from beltrami_lab.dilatation import (
     l1_norm,
     mu_example3,
     mu_example4,
-    mu_of_inverse,
     named_map,
     solution_example3,
     solution_example4,
@@ -215,42 +213,6 @@ class TestClosedFormSolutions:
         z = 0.8 * np.exp(0.2j)
         w = solution_example3(z, 0.5)
         assert inverse_example3(w, 0.5) == pytest.approx(z, abs=1e-12)
-
-
-class TestInverseDilatation:
-    def test_modulus_preserved(self):
-        rng = np.random.default_rng(11)
-        fz = 1.0 + 0.3 * (rng.standard_normal(20) + 1j * rng.standard_normal(20))
-        fzb = 0.4 * (rng.standard_normal(20) + 1j * rng.standard_normal(20))
-        keep = np.abs(fz) > np.abs(fzb) + 0.05
-        fz, fzb = fz[keep], fzb[keep]
-        got = mu_of_inverse(fz, fzb)
-        assert np.allclose(np.abs(got), np.abs(fzb) / np.abs(fz), atol=1e-13)
-
-    def test_degenerate_pair_rejected(self):
-        with pytest.raises(ValueError):
-            mu_of_inverse(0.5, 0.5)
-
-
-class TestKIpField:
-    def test_constant_derivatives(self):
-        g = GridSpec.square(16)
-        fz = ComplexField(g, np.ones((16, 16)))
-        fzb = ComplexField(g, np.full((16, 16), 0.3 + 0.0j))
-        out = K_Ip_field(fz, fzb, 1.5)
-        want = (1.0 - 0.09) / 0.7**1.5
-        assert np.allclose(out.data.real, want, atol=1e-12)
-
-    def test_degenerate_and_zero_cells(self):
-        g = GridSpec.square(16)
-        a = np.ones((16, 16), dtype=complex)
-        b = np.zeros((16, 16), dtype=complex)
-        a[0, 0] = 0.0  # both derivatives vanish: conventionally 1
-        b[1, 1] = 1.0  # |fzb| = |fz|: infinite dilatation
-        out = K_Ip_field(ComplexField(g, a), ComplexField(g, b), 1.5)
-        assert out.data[0, 0] == 1.0
-        assert np.isinf(out.data[1, 1].real)
-        assert out.extended
 
 
 class TestWeightMass:

@@ -1,6 +1,9 @@
+import ast
 import importlib
 import inspect
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,10 +37,6 @@ class TestGridSpec:
         assert zz.shape == (512, 512)
         assert zz[0, 0] == pytest.approx(-2.0 - 2.0j)
 
-    def test_covers_disk(self):
-        assert GridSpec.square(64, 2.0).covers_disk(1.0, margin=0.5)
-        assert not GridSpec.square(64, 1.0).covers_disk(1.0, margin=0.1)
-
     @pytest.mark.parametrize("n", [1, 4, 7])
     def test_too_small_rejected(self, n):
         with pytest.raises(ValueError):
@@ -54,14 +53,12 @@ class TestComplexField:
         with pytest.raises(ValueError):
             ComplexField(g, np.zeros((8, 16)))
 
-    def test_nonfinite_rejected_unless_extended(self):
+    def test_nonfinite_rejected(self):
         g = GridSpec.square(16)
         data = np.zeros((16, 16), dtype=complex)
         data[3, 3] = np.inf
         with pytest.raises(ValueError):
             ComplexField(g, data)
-        fld = ComplexField(g, data, extended=True)
-        assert np.isinf(fld.data[3, 3].real)
 
 
 class TestWirtinger:
@@ -227,3 +224,57 @@ def test_quadrature_config_is_not_passed_through(module):
             taking += [f"{label}({p.name})" for p in params
                        if "QuadratureConfig" in str(p.annotation)]
     assert taking == []
+
+
+# Public names that only an acceptance check calls, with the check.  They are
+# the oracles the checks compare against, so they stay without a caller.
+ACCEPTANCE_ORACLES = {
+    "wirtinger_at_point": "check 04",
+    "truncated_power_weight": "check 06",
+    "InverseProfile": "check 03",
+    "kip_integral_source_route": "check 03",
+    "beurling_norm_estimate": "check 09",
+}
+# Public names without a caller that stay for now, with the reason.
+NOT_YET_CALLED = {
+    "fmo_statistic": "ROADMAP item 4: a CLI caller or its deletion is open",
+}
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _names_read(tree: ast.Module, skip: str = "") -> set:
+    """Identifiers a module reads, outside the top-level definition of skip."""
+    body = [node for node in tree.body if getattr(node, "name", None) != skip]
+    names = set()
+    for node in body:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                names.add(sub.attr)
+    return names
+
+
+@pytest.mark.parametrize("module", ["numerics", "radial", "dilatation", "solver", "verify"])
+def test_every_public_name_has_a_caller(module):
+    # a public name that only its own unit tests run is dead code: it is used
+    # in src/ outside its definition, named by the benchmark, or listed above
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in (ROOT / "src" / "beltrami_lab").glob("*.py")}
+    elsewhere = set().union(*(_names_read(tree) for stem, tree in trees.items()
+                              if stem != module))
+    bench = "\n".join(path.read_text() for path in (ROOT / "perfbench").glob("*.py"))
+    acceptance = (ROOT / "tests" / "test_acceptance.py").read_text()
+    uncalled, needless = [], []
+    for name in importlib.import_module(f"beltrami_lab.{module}").__all__:
+        used = (name in elsewhere or name in _names_read(trees[module], name)
+                or re.search(rf"\b{name}\b", bench) is not None)
+        if name in ACCEPTANCE_ORACLES:
+            assert re.search(rf"\b{name}\b", acceptance), name
+        if name in ACCEPTANCE_ORACLES or name in NOT_YET_CALLED:
+            if used:
+                needless.append(name)
+        elif not used:
+            uncalled.append(name)
+    assert uncalled == []
+    assert needless == []

@@ -21,13 +21,10 @@ from beltrami_lab.radial import (
     lehto_integral,
     power_weight,
     radial_K_Ip,
-    radial_map_eval,
-    radial_map_invert,
     radial_stretch_factors,
     spherical_mean,
     truncated_power_weight,
     unit_weight,
-    weight_from_function,
 )
 
 
@@ -121,11 +118,6 @@ class TestWeightsAndMeans:
         assert spherical_mean(Q, None, 0.45, 3) == pytest.approx(0.45**2, rel=1e-12)
         with pytest.raises(ValueError):
             spherical_mean(lambda y: 1.0, None, 0.45, 3)
-
-    def test_weight_from_function_matches_radial(self):
-        w = weight_from_function(lambda y: 1.0 / float(np.dot(y, y)), n=2)
-        for r in (0.1, 0.35, 0.8):
-            assert w.q(r) == pytest.approx(r**-2, rel=1e-9)
 
     def test_example1_weight_branches(self):
         w = example1_weight(2)
@@ -267,34 +259,4 @@ class TestStretchAndKip:
         )
         assert kip_integral_source_route(IdentityProfile(2), 1.5) == pytest.approx(
             math.pi, rel=1e-10
-        )
-
-
-class TestRadialMapHelpers:
-    def test_eval_and_invert(self):
-        p = Example2Profile(2, 2.0)
-        x = np.array([0.3, -0.4])
-        y = radial_map_eval(p, x)
-        assert np.linalg.norm(y) == pytest.approx(p.value(0.5), rel=1e-12)
-        back = radial_map_invert(p, y)
-        assert np.allclose(back, x, atol=1e-10)
-
-    def test_origin_fixed(self):
-        p = LimitStretchProfile(2)
-        assert np.allclose(radial_map_eval(p, np.zeros(2)), np.zeros(2))
-
-    @settings(deadline=None, max_examples=30, derandomize=True)
-    @given(
-        ang=st.floats(0.0, 2.0 * math.pi),
-        r=st.floats(0.05, 1.0),
-        m=st.floats(1.0, 6.0),
-    )
-    def test_rotation_equivariance(self, ang, r, m):
-        p = Example2Profile(2, m)
-        x = np.array([r * math.cos(ang), r * math.sin(ang)])
-        y = radial_map_eval(p, x)
-        assert np.linalg.norm(y) == pytest.approx(p.value(r), rel=1e-11)
-        # image direction equals source direction
-        assert np.dot(x, y) == pytest.approx(
-            np.linalg.norm(x) * np.linalg.norm(y), rel=1e-11
         )

@@ -37,8 +37,16 @@ class TestHolderProduct:
         got = holder_product(_identity, 0.2 + 0.1j, 0.2 + 0.2j, 0.25, n=3)
         assert got == pytest.approx(0.1 * math.log(2.25) ** (1.0 / 3.0), rel=1e-12)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_zero_at_coincident_points(self):
         assert holder_product(_identity, 0.3 + 0.1j, 0.3 + 0.1j, 0.25) == 0.0
+        # an array with a coincident and a distinct pair
+        xs = np.array([0.3 + 0.1j, 0.2 + 0.1j])
+        ys = np.array([0.3 + 0.1j, 0.2 + 0.2j])
+        got = holder_product(_identity, xs, ys, 0.25)
+        assert got.shape == (2,)
+        assert got[0] == 0.0
+        assert got[1] == holder_product(_identity, xs[1], ys[1], 0.25) > 0.0
 
     def test_rejects_bad_r0(self):
         with pytest.raises(ValueError):
