@@ -32,7 +32,6 @@ __all__ = [
     "wirtinger_at_point",
     "adaptive_integral_1d",
     "unit_sphere_area",
-    "unit_ball_volume",
 ]
 
 
@@ -286,9 +285,3 @@ def unit_sphere_area(n: int) -> float:
         raise ValueError("dimension must be at least 2")
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
-
-def unit_ball_volume(n: int) -> float:
-    """Volume of the unit ball in R^n."""
-    if n < 1:
-        raise ValueError("dimension must be at least 1")
-    return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)

@@ -124,8 +124,7 @@ def _example1_phi(t: float, n: int) -> float:
 # memory; every scan, profile and the r = 1e-4 Lehto integral stay below it.
 _MAX_JUMPS = 2**16
 # Jumps listed for an interval reaching 0, which holds infinitely many.  The
-# rest are left to adaptive splitting; each listed one is a panel, and a
-# ball that diverges at 0 (fmo_statistic) integrates them all before failing.
+# rest are left to adaptive splitting; each listed one is a panel.
 _ZERO_PREFIX_JUMPS = 64
 
 

@@ -8,20 +8,24 @@ the data sits in one corner of a zero-padded periodic buffer.
 
 The fixed point runs on the bounding box of mu's nonzero samples, since h
 vanishes wherever mu does.  The box is zero-padded to a square torus about
-twice its side, of period P.  On that torus the Beurling kernel
--1/(pi z^2) becomes -wp(z)/pi, where wp is the Weierstrass function of the
-square lattice P(Z + iZ): wp(z) = z^-2 + 3 G4 z^2 / P^4 + O(z^6 / P^8),
-because G6 vanishes for that lattice and G4 = Gamma(1/4)^8 / (960 pi^2).
-Each Beurling application adds the leading term back,
-(3 G4 / (pi P^4)) (z^2 M0 - 2 z M1 + M2) with M_k the integral of w^k h
-over the box; without it the periodization error of the small torus shows
-in the solution.  The lattice is square only when dx == dy, which
-SolveConfig requires.
+TORUS_FACTOR = 1.5 times its side, of period P.  On that torus the Beurling
+kernel -1/(pi z^2) becomes -wp(z)/pi, where wp is the Weierstrass function
+of the square lattice P(Z + iZ):
+wp(z) = z^-2 + c2 z^2 / P^4 + c4 z^6 / P^8 + c6 z^10 / P^12 + O(z^14 / P^16)
+with c2 = 3 G4, c4 = 3 G4^2, c6 = 18 G4^3 / 13 (DLMF 23.9; the other
+coefficients vanish because G6 does) and G4 = Gamma(1/4)^8 / (960 pi^2).
+Each Beurling application adds the three terms back,
+(1/pi) sum_k c_k P^-2k int (z - w)^(2k-2) h(w) dA over the box; without
+them the periodization error of the small torus shows in the solution.
+The lattice is square only when dx == dy, which SolveConfig requires.
 
 The Cauchy step runs once per solve, on the full grid zero-padded to twice
-its side.  C includes an affine zbar correction carrying the mean of h over
-that torus (the frequency multiplier drops the zero mode, and the
-correction restores it so the discrete dbar of f equals h).
+its side, of period P.  On that torus the kernel 1/(pi z) becomes
+(zeta(z) - pi zbar / P^2) / pi, with zeta the Weierstrass zeta function,
+zeta(z) = 1/z - G4 z^3 / P^4 + O(z^7 / P^8).  C adds back the zbar term,
+(1/P^2) int (zbar - wbar) h(w) dA (the frequency multiplier drops the zero
+mode, and the zbar part restores it so the discrete dbar of f equals h),
+and the cubic term (G4 / (pi P^4)) int (z - w)^3 h(w) dA.
 
 Dilatation fields are sampled with subcell averaging in a thin band around
 their discontinuity circles; without it, sampling quantization at the jump
@@ -81,6 +85,8 @@ COMPARE_RADIUS = 0.9
 DISK_SUBCELLS = 4
 # G4 = sum' (a + ib)^-4 over the unit square lattice (the lemniscatic case)
 G4_SQUARE_LATTICE = math.gamma(0.25) ** 8 / (960.0 * math.pi**2)
+# the fixed point's torus side over its support box side
+TORUS_FACTOR = 1.5
 
 
 class PaddingError(ValueError):
@@ -188,21 +194,83 @@ def _check_boundary_support(h: ComplexField) -> None:
 def cauchy_transform(h: ComplexField) -> ComplexField:
     """Solid Cauchy transform: the discrete dbar of the output equals h.
 
-    The frequency multiplier drops the padded-torus zero mode; the affine
-    term a zbar, with a the padded-box mean of h, restores it.  Without
-    that term the output of compactly supported data is off by a linear
-    deficit at interior points.  h must vanish near the grid boundary."""
+    The frequency multiplier is the Cauchy kernel periodized on the padded
+    torus; the zbar term and the cubic lattice term of the module docstring
+    are added back, from moments over the support box of h.  Without the
+    zbar term the output of compactly supported data is off by a linear
+    deficit at interior points, and without the constant in it by an offset
+    that grows with the distance of h's support from 0.  The lattice terms
+    assume a square torus (nx dx == ny dy).  h must vanish near the grid
+    boundary."""
     _check_boundary_support(h)
-    out = _padded_transform(h.data, h.grid, "cauchy")
-    out += _torus_mean(h) * np.conj(h.grid.zz())
-    return ComplexField(h.grid, out)
+    grid = h.grid
+    out = _padded_transform(h.data, grid, "cauchy")
+    rows, cols = _support_box(h.data)
+    xs, ys = grid.xs(), grid.ys()
+    hb, x, y = h.data[rows, cols], xs[cols], ys[rows]
+    cubic = G4_SQUARE_LATTICE / (math.pi * (2 * grid.nx * grid.dx) ** 4)
+    out += _polynomial_kernel(((cubic, 3),), x, y, grid.cell_area, xs, ys)(hb)
+    # (1/P^2) int (zbar - wbar) h dA, with P^2 the area of the torus
+    area = 4 * grid.nx * grid.ny * grid.cell_area
+    wbar = grid.cell_area * (hb.sum(axis=0) @ x - 1j * (hb.sum(axis=1) @ y))
+    out += _torus_mean(h) * (xs[None, :] - 1j * ys[:, None]) - wbar / area
+    return ComplexField(grid, out)
 
 
 def beurling_transform(h: ComplexField) -> ComplexField:
     """Beurling transform: carries dbar g to d g for compactly supported
-    smooth g; an L2 contraction in this discretization."""
+    smooth g; an L2 contraction in this discretization.
+
+    It stays on the grid zero-padded to twice its side, with no lattice
+    term and not on the solver's smaller torus: acceptance check 09 and
+    beurling_norm_estimate need the exact L2 contraction of the plain
+    frequency multiplier."""
     _check_boundary_support(h)
     return ComplexField(h.grid, _padded_transform(h.data, h.grid, "beurling"))
+
+
+def _laurent_coefficients() -> tuple:
+    """(k, c_k) for the nonzero terms c_k z^(2k-2) of wp(z) - z^-2 up to
+    z^10, unit square lattice (DLMF 23.9.7 with g3 = 0)."""
+    g4 = G4_SQUARE_LATTICE
+    return (2, 3.0 * g4), (4, 3.0 * g4**2), (6, 18.0 * g4**3 / 13.0)
+
+
+def _polynomial_kernel(terms, x, y, cell_area: float, x_out, y_out):
+    """The map h -> sum over (c, n) in terms of c int (z - w)^n h(w) dA,
+    from h on the tensor box with node abscissas x and ordinates y to its
+    values on the tensor grid x_out, y_out.
+
+    The moments of h and the polynomial in z are taken through the powers
+    of x and of y, so one application is four small matrix products:
+    Q = Y^T h X, then R = T Q (a fixed map through the moments and the
+    polynomial coefficients), and Y_out R X_out^T.  Powers are taken about
+    the box centre, which (z - w) does not see."""
+    deg = max(n for _, n in terms)
+    x0, y0 = 0.5 * (x[0] + x[-1]), 0.5 * (y[0] + y[-1])
+
+    def powers(v):
+        return np.vander(v, deg + 1, increasing=True).astype(complex)
+
+    xp, yp, xo, yo = powers(x - x0), powers(y - y0), powers(x_out - x0), powers(y_out - y0)
+    # split[j, (a, b)] = binom(j, a) i^a with a + b = j: w^j = sum split y^a x^b
+    split = np.zeros((deg + 1, deg + 1, deg + 1), dtype=complex)
+    for j in range(deg + 1):
+        for a in range(j + 1):
+            split[j, a, j - a] = math.comb(j, a) * 1j**a
+    split = split.reshape(deg + 1, -1)
+    # poly[d, j]: coefficient of z^d int w^j h dA
+    poly = np.zeros((deg + 1, deg + 1))
+    for c, n in terms:
+        for j in range(n + 1):
+            poly[n - j, j] += c * math.comb(n, j) * (-1) ** j
+    t = cell_area * (split.T @ poly @ split)
+
+    def apply(h: np.ndarray) -> np.ndarray:
+        q = (yp.T @ h @ xp).ravel()
+        return yo @ (t @ q).reshape(deg + 1, deg + 1) @ xo.T
+
+    return apply
 
 
 @dataclass(frozen=True)
@@ -287,26 +355,28 @@ def _support_box(data: np.ndarray) -> tuple:
     return slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
 
 
-def _fixed_point(mu: np.ndarray, z: np.ndarray, grid: GridSpec, cfg: SolveConfig):
-    """Neumann iteration h <- mu S(h) + mu on a box holding supp mu, with z
-    the box's coordinates.  Returns (h, iterations, last update, converged).
+def _fixed_point(mu: np.ndarray, x: np.ndarray, y: np.ndarray, grid: GridSpec,
+                 cfg: SolveConfig):
+    """Neumann iteration h <- mu S(h) + mu on a box holding supp mu, with x
+    and y the box's node abscissas and ordinates.  Returns (h, iterations,
+    last update, converged).
 
-    S runs on a square torus of side about twice the box side, plus the
-    leading lattice term of the torus kernel (see the module docstring)."""
-    side = sfft.next_fast_len(2 * max(mu.shape))
+    S runs on a square torus of side about TORUS_FACTOR times the box side,
+    plus the three lattice terms of the torus kernel (see the module
+    docstring)."""
+    side = sfft.next_fast_len(math.ceil(TORUS_FACTOR * max(mu.shape)))
     buf = np.zeros((side, side), dtype=np.complex128)
-    lattice = 3.0 * G4_SQUARE_LATTICE / (math.pi * (side * grid.dx) ** 4)
-    z1 = z.ravel()
-    z2 = z1 * z1
+    period = side * grid.dx
+    terms = tuple((c / (math.pi * period ** (2 * k)), 2 * k - 2)
+                  for k, c in _laurent_coefficients())
+    remainder = _polynomial_kernel(terms, x, y, grid.cell_area, x, y)
     weight = math.sqrt(grid.cell_area)
     h = mu.copy()
     delta = math.inf
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
         s_h = _apply_multiplier(buf, h, grid, "beurling", overwrite=False)
-        flat = h.ravel()
-        m0, m1, m2 = (grid.cell_area * v for v in (flat.sum(), z1 @ flat, z2 @ flat))
-        s_h += lattice * ((m0 * z - 2.0 * m1) * z + m2)
+        s_h += remainder(h)
         h_new = mu * s_h + mu
         delta = float(np.linalg.norm(h_new - h)) * weight
         h = h_new
@@ -334,7 +404,7 @@ def solve_principal(mu: MuSpec, cfg: SolveConfig | None = None) -> SolveResult:
     box = _support_box(mu_data)
     h = np.zeros_like(mu_data)
     h[box], iterations, delta, converged = _fixed_point(
-        mu_data[box], grid.zz()[box], grid, cfg
+        mu_data[box], grid.xs()[box[1]], grid.ys()[box[0]], grid, cfg
     )
     h_field = ComplexField(grid, h)
     f = ComplexField(grid, grid.zz() + cauchy_transform(h_field).data)

@@ -1,14 +1,13 @@
 """Continuity and degeneracy harnesses for maps of the unit disk.
 
-Three empirical checks live here:
+Two empirical checks live here:
 
 * the log-continuity product |f(x) - f(y)| ln^{1/n}(1 + r0 / (2|x-y|)),
   scanned over random point pairs at dyadic separations; for maps built
   from integrable dilatation weights the per-scale maxima stay bounded,
 * a divergence classifier for the integral of dt / (t q(t)) near 0, which
   separates weights that admit homeomorphic solutions from those that do
-  not,
-* the mean-oscillation statistic of a weight over shrinking balls.
+  not.
 
 None of the unknown constants in the continuity bounds are assumed; the
 scans only test boundedness and report the empirical constant.
@@ -23,14 +22,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dilatation import l1_norm
-from .numerics import (
-    IntegrandNonFinite,
-    QuadratureNonConvergence,
-    adaptive_integral_1d,
-    unit_ball_volume,
-    unit_sphere_area,
-)
-from .radial import RadialWeight, lehto_integral, spherical_mean
+from .numerics import IntegrandNonFinite, QuadratureNonConvergence
+from .radial import RadialWeight, lehto_integral
 
 __all__ = [
     "HolderConfig",
@@ -39,8 +32,6 @@ __all__ = [
     "holder_scan",
     "LehtoScan",
     "lehto_divergence_scan",
-    "FmoEntry",
-    "fmo_statistic",
 ]
 
 
@@ -249,72 +240,3 @@ def lehto_divergence_scan(
         normalized_increments=tuple(normalized),
         classification=cls,
     )
-
-
-@dataclass(frozen=True)
-class FmoEntry:
-    eps: float
-    value: float
-    divergent: bool
-
-
-def _ball_integral(mean_at, eps: float, n: int, breakpoints=()) -> float:
-    omega = unit_sphere_area(n)
-
-    def integrand(r: float) -> float:
-        return omega * r ** (n - 1) * mean_at(r)
-
-    return adaptive_integral_1d(integrand, 0.0, eps, breakpoints=breakpoints).value
-
-
-def fmo_statistic(
-    Q,
-    x0,
-    eps_list: Sequence[float],
-    n: int = 2,
-) -> list[FmoEntry]:
-    """Mean oscillation of Q over balls B(x0, eps): the ball average of
-    |Q - ball mean|, both integrals by the same radial quadrature.  A
-    non-integrable ball yields value inf with the divergent flag set."""
-    epses = [float(e) for e in eps_list]
-    if not epses or any(e <= 0 for e in epses) or any(
-        b >= a for a, b in zip(epses, epses[1:])
-    ):
-        raise ValueError("eps_list must be positive and strictly decreasing")
-    if isinstance(Q, RadialWeight):
-        if x0 not in (None, 0, 0.0, 0j):
-            raise ValueError("radial weights are centered; x0 must be 0")
-        if Q.n != n:
-            raise ValueError("weight dimension does not match n")
-        mean_q = Q.q
-        breaks = Q.breakpoints
-    else:
-        def mean_q(r: float) -> float:
-            return spherical_mean(Q, x0, r, n)
-
-        def breaks(a: float, b: float):
-            return ()
-
-    out = []
-    for eps in epses:
-        vol = unit_ball_volume(n) * eps**n
-        bps = breaks(0.0, eps)
-        try:
-            ball_mean = _ball_integral(mean_q, eps, n, bps) / vol
-            if not math.isfinite(ball_mean):
-                raise IntegrandNonFinite(0.0, ball_mean)
-            if isinstance(Q, RadialWeight):
-                def osc_at(r: float, m=ball_mean) -> float:
-                    return abs(Q.q(r) - m)
-            else:
-                def osc_at(r: float, m=ball_mean) -> float:
-                    return spherical_mean(
-                        lambda pts: np.abs(np.asarray(Q(pts)) - m), x0, r, n
-                    )
-            osc = _ball_integral(osc_at, eps, n, bps) / vol
-            if not math.isfinite(osc):
-                raise IntegrandNonFinite(0.0, osc)
-            out.append(FmoEntry(eps=eps, value=osc, divergent=False))
-        except (QuadratureNonConvergence, IntegrandNonFinite):
-            out.append(FmoEntry(eps=eps, value=math.inf, divergent=True))
-    return out

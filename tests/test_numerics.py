@@ -18,7 +18,6 @@ from beltrami_lab.numerics import (
     QuadratureConfig,
     QuadratureNonConvergence,
     adaptive_integral_1d,
-    unit_ball_volume,
     unit_sphere_area,
     wirtinger_at_point,
     wirtinger_derivatives,
@@ -196,11 +195,12 @@ class TestSphereConstants:
     )
     def test_known_values(self, n, area, volume):
         assert unit_sphere_area(n) == pytest.approx(area, rel=1e-13)
-        assert unit_ball_volume(n) == pytest.approx(volume, rel=1e-13)
+        assert unit_sphere_area(n) / n == pytest.approx(volume, rel=1e-13)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 7])
     def test_area_volume_relation(self, n):
-        assert unit_sphere_area(n) == pytest.approx(n * unit_ball_volume(n), rel=1e-12)
+        volume = math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
+        assert unit_sphere_area(n) == pytest.approx(n * volume, rel=1e-12)
 
 
 @pytest.mark.parametrize("module", ["radial", "dilatation", "verify", "solver"])
@@ -235,10 +235,6 @@ ACCEPTANCE_ORACLES = {
     "kip_integral_source_route": "check 03",
     "beurling_norm_estimate": "check 09",
 }
-# Public names without a caller that stay for now, with the reason.
-NOT_YET_CALLED = {
-    "fmo_statistic": "ROADMAP item 4: a CLI caller or its deletion is open",
-}
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -271,7 +267,7 @@ def test_every_public_name_has_a_caller(module):
                 or re.search(rf"\b{name}\b", bench) is not None)
         if name in ACCEPTANCE_ORACLES:
             assert re.search(rf"\b{name}\b", acceptance), name
-        if name in ACCEPTANCE_ORACLES or name in NOT_YET_CALLED:
+        if name in ACCEPTANCE_ORACLES:
             if used:
                 needless.append(name)
         elif not used:

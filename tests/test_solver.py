@@ -185,7 +185,7 @@ class TestSolvePrincipal:
     def test_lattice_correction_matches_wide_torus(self, monkeypatch):
         # reference: the same Neumann loop through the public Beurling
         # transform on a grid 128 cells wider on each side, whose padded
-        # torus is about 4x the solver's support-box torus; both sides share
+        # torus is about 5x the solver's support-box torus; both sides share
         # the Cauchy step so only the fixed point is compared
         g = GridSpec.square(256, 2.0)
         pad = 128
@@ -225,6 +225,74 @@ class TestSolvePrincipal:
         lam = (a[None, :] + 1j * a[:, None]).ravel()
         lam = lam[lam != 0]
         assert np.sum(lam ** -4.0) == pytest.approx(G4_SQUARE_LATTICE, abs=1e-5)
+
+    def test_laurent_coefficients_match_lattice_sum(self):
+        # wp(z) - z^-2 = sum' [(z + w)^-2 - w^-2] = c2 z^2 + c4 z^6 + c6 z^10
+        # + O(z^14), summed over |a|, |b| <= 200.  The z^2 term is taken with
+        # the same truncated sum' w^-4, so its O(1/N^2) tail cancels; the
+        # remaining tail is O(1/N^6) and c8 z^14 is below 1e-8 here
+        n = 200
+        a = np.arange(-n, n + 1)
+        lam = (a[None, :] + 1j * a[:, None]).ravel()
+        lam = lam[lam != 0]
+        coeffs = dict(solver._laurent_coefficients())
+        assert coeffs[2] == pytest.approx(3.0 * G4_SQUARE_LATTICE, rel=1e-15)
+        for z in (0.2, 0.15 + 0.1j):
+            direct = (np.sum((z + lam) ** -2.0 - lam ** -2.0)
+                      - 3.0 * np.sum(lam ** -4.0) * z**2)
+            want = coeffs[4] * z**6 + coeffs[6] * z**10
+            assert abs(direct - want) <= 1e-2 * abs(coeffs[6] * z**10)
+
+    def test_polynomial_kernel_matches_dense_sum(self):
+        # the separable form against the double sum of the solver's lattice
+        # terms (1/pi) sum_k c_k P^-2k (z - w)^(2k-2) h(w) dA on a non-square,
+        # off-centre box, where an x/y or transpose mix-up would show; then
+        # the Cauchy cubic, evaluated on a wider grid than the box
+        step = 0.013
+        x = 0.31 + step * np.arange(24)
+        y = -0.2 + step * np.arange(20)
+        period = 1.5 * 24 * step
+        g4 = G4_SQUARE_LATTICE
+        terms = tuple((c / (math.pi * period ** (2 * k)), 2 * k - 2)
+                      for k, c in ((2, 3 * g4), (4, 3 * g4**2), (6, 18 * g4**3 / 13)))
+        rng = np.random.default_rng(3)
+        h = rng.standard_normal((20, 24)) + 1j * rng.standard_normal((20, 24))
+        w = (x[None, :] + 1j * y[:, None]).ravel()
+        x_out = -0.5 + step * np.arange(90)
+        y_out = -0.6 + step * np.arange(70)
+        z_out = (x_out[None, :] + 1j * y_out[:, None]).ravel()
+        for terms, xo, yo, z in ((terms, x, y, w), (((0.7, 3),), x_out, y_out, z_out)):
+            got = solver._polynomial_kernel(terms, x, y, step**2, xo, yo)(h)
+            u = z[:, None] - w[None, :]
+            kernel = sum(c * u**n for c, n in terms)
+            want = (kernel @ h.ravel() * step**2).reshape(yo.size, xo.size)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_off_centre_constant_disk(self):
+        # mu = k on |z - c| < R: f = z + k (zbar - cbar) inside and
+        # z + k R^2 / (z - c) outside.  Moving the disk off 0 must not cost
+        # more than half again the centred error (the Cauchy step's constant
+        # (1/P^2) int wbar h dA is zero only for the centred disk)
+        k, radius, sub = 0.3, 0.5, 8
+        g = GridSpec.square(256, 2.0)
+        zz = g.zz()
+        offs = (np.arange(sub) + 0.5) / sub - 0.5
+
+        def error(c):
+            frac = sum(np.abs(zz + ox * g.dx + 1j * oy * g.dy - c) < radius
+                       for ox in offs for oy in offs) / sub**2
+            spec = MuSpec.from_grid(ComplexField(g, k * frac + 0j))
+            f = solve_principal(spec, SolveConfig(grid=g)).f.data
+            inside = np.abs(zz - c) < radius
+            exact = zz.copy()
+            exact[inside] += k * np.conj(zz[inside] - c)
+            exact[~inside] += k * radius**2 / (zz[~inside] - c)
+            keep = (np.abs(zz) <= 0.8) & (np.abs(np.abs(zz - c) - radius) > 2 * g.dx)
+            return np.max(np.abs(f - exact)[keep])
+
+        centred = error(0.0)
+        assert centred < 1e-3
+        assert error(0.3 + 0.2j) <= 1.5 * centred
 
     def test_solution_dilatation_recovery(self):
         # finite differences of the solved map reproduce the capped field

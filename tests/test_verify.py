@@ -16,7 +16,6 @@ from beltrami_lab.radial import (
 )
 from beltrami_lab.verify import (
     HolderConfig,
-    fmo_statistic,
     holder_product,
     holder_scan,
     lehto_divergence_scan,
@@ -233,55 +232,3 @@ class TestLehtoDivergenceScan:
         for inc, val in zip(sc.increments, sc.values[1:]):
             total += inc
             assert val == pytest.approx(total, rel=1e-12)
-
-
-class TestFmoStatistic:
-    EPS = (0.5, 0.25, 0.125)
-
-    def test_constant_weight_has_zero_oscillation(self):
-        for e in fmo_statistic(unit_weight(2), 0.0, self.EPS):
-            assert e.value == pytest.approx(0.0, abs=1e-12)
-            assert not e.divergent
-
-    def test_quadratic_weight_closed_form(self):
-        # mean of r^2 over B(0, eps) is eps^2/2 and the mean absolute
-        # deviation works out to eps^2/4
-        w = RadialWeight(2, lambda r: r * r, name="sq")
-        for e in fmo_statistic(w, 0.0, self.EPS):
-            assert e.value == pytest.approx(e.eps**2 / 4.0, rel=1e-6)
-
-    def test_point_function_matches_radial_fast_path(self):
-        radial = fmo_statistic(RadialWeight(2, lambda r: r * r, name="sq"), 0.0, self.EPS)
-        pointwise = fmo_statistic(lambda p: p[0] ** 2 + p[1] ** 2, None, self.EPS)
-        for a, b in zip(radial, pointwise):
-            assert b.value == pytest.approx(a.value, rel=1e-6)
-            assert a.eps == b.eps
-
-    def test_non_integrable_weight_flagged(self):
-        for w in (power_weight(2), example1_weight(2)):
-            entries = fmo_statistic(w, 0.0, (0.5,))
-            assert entries[0].divergent
-            assert entries[0].value == math.inf
-
-    def test_bounded_weight_bounded_statistic(self):
-        w = truncated_power_weight(2, 2)
-        sup_q = 4.0
-        for e in fmo_statistic(w, 0.0, (0.8, 0.6, 0.4)):
-            assert not e.divergent
-            assert 0.0 <= e.value <= 2.0 * sup_q
-
-    def test_eps_validation(self):
-        with pytest.raises(ValueError):
-            fmo_statistic(unit_weight(2), 0.0, ())
-        with pytest.raises(ValueError):
-            fmo_statistic(unit_weight(2), 0.0, (0.25, 0.5))
-        with pytest.raises(ValueError):
-            fmo_statistic(unit_weight(2), 0.0, (0.5, 0.0))
-
-    def test_radial_weight_center_must_be_origin(self):
-        with pytest.raises(ValueError):
-            fmo_statistic(unit_weight(2), 0.3 + 0.0j, self.EPS)
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            fmo_statistic(unit_weight(3), 0.0, self.EPS, n=2)
