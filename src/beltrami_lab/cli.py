@@ -45,8 +45,6 @@ from .dilatation import (
 from .numerics import ComplexField, GridSpec
 from .radial import (
     Example2Profile,
-    IdentityProfile,
-    LimitStretchProfile,
     NumericProfile,
     check_order_p,
     example1_weight,
@@ -84,9 +82,9 @@ _WEIGHTS = {
 # radial --profile names: (profile from n, m and the weight, the weight's
 # name, or None to take --weight)
 _PROFILES = {
-    "identity": (lambda n, m, w: IdentityProfile(n), "unit"),
+    "identity": (lambda n, m, w: Example2Profile(n, 1.0), "unit"),
     "example2": (lambda n, m, w: Example2Profile(n, m), "power"),
-    "example4-limit": (lambda n, m, w: LimitStretchProfile(n), "power"),
+    "example4-limit": (lambda n, m, w: Example2Profile(n, math.inf), "power"),
     "numeric": (lambda n, m, w: NumericProfile(w), None),
 }
 
@@ -286,12 +284,18 @@ def _weight(name: str, n: int, alpha: float, family: str | None = None):
     return _WEIGHTS[name](n, alpha)
 
 
+def _not_nan(x: float) -> float:
+    if math.isnan(x):
+        raise ValueError("must be a number, not nan")
+    return x
+
+
 def _kip_bound(text: str, order_p: float) -> float | None:
     """--bound: a number, 'none', or 'auto', the bound pi + 2 pi/(2 - p),
     which is finite only for p < 2 (no check at p = 2)."""
     if text == "auto":
         return math.pi + 2.0 * math.pi / (2.0 - order_p) if order_p < 2.0 else None
-    return None if text == "none" else float(text)
+    return None if text == "none" else _not_nan(float(text))
 
 
 def _solve_config(n=512, half_width=2.0, **fields) -> SolveConfig:
@@ -329,6 +333,8 @@ def parse_config(argv: list) -> argparse.Namespace:
     if cmd in ("solve", "dilatation") and cfg.k is not None:
         if check("--k", check_level, cfg.k) and obj["spec"] is not None:
             obj["spec"] = truncate_mu(obj["spec"], cfg.k)
+    if cmd == "solve" and cfg.residual_tol is not None:
+        check("--residual-tol", _not_nan, cfg.residual_tol)
     if cmd in ("solve", "truncate"):
         obj["solve_cfg"] = _each_then_all(check, _solve_config, {
             "--grid": ("n", cfg.grid_n),

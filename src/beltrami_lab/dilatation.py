@@ -65,7 +65,6 @@ __all__ = [
     "example3_truncation_radius",
     "example4_truncation_radius",
     "example3_image_weight",
-    "example4_image_weight",
     "Family",
     "FAMILIES",
     "named_map",
@@ -350,10 +349,10 @@ class IntegrabilityScan:
 
 
 def check_radii(radii: Sequence[float]) -> tuple:
-    """Scan radii: at least one, each positive."""
+    """Scan radii: at least one, each finite and positive."""
     rs = tuple(float(r) for r in radii)
-    if not rs or min(rs) <= 0.0:
-        raise ValueError("radii must be positive")
+    if not rs or not all(0.0 < r < math.inf for r in rs):
+        raise ValueError("radii must be finite and positive")
     return rs
 
 
@@ -498,13 +497,6 @@ def example3_image_weight(alpha: float) -> RadialWeight:
     return RadialWeight(2, q, name=f"example3-image(alpha={alpha:g})")
 
 
-def example4_image_weight() -> RadialWeight:
-    """Majorant weight for the inverse dilatation of truncated example 4:
-    q(s) = 1/s^2."""
-    w = power_weight(2)
-    return RadialWeight(2, w.q, name="example4-image")
-
-
 @dataclass(frozen=True)
 class Family:
     """One entry of the family table.  Every callable takes alpha, which
@@ -551,7 +543,7 @@ FAMILIES = {
         rim_jump=False,
         solution=lambda z, alpha, k: solution_example4(z, k),
         inverse=lambda y, alpha, k: inverse_example4(y, k),
-        image_weight=lambda alpha: example4_image_weight(),
+        image_weight=lambda alpha: power_weight(2),  # q(s) = s^-2
     ),
 }
 

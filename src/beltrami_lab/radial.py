@@ -1,10 +1,10 @@
 """Radial stretch maps, spherical means, Lehto integrals and ring moduli.
 
 A radial map sends x to (x/|x|) * rho(|x|) for an increasing profile rho on
-(0, 1] with rho(1) = 1.  Profiles either come from a closed-form registry
-(identity, the truncated power-weight family ``example2``, and its m -> inf
-limit ``example4-limit``) or are generated numerically from a radial weight
-q through
+(0, 1] with rho(1) = 1.  Profiles either come in closed form, as the one
+truncated power-weight class ``Example2Profile(n, m)`` for 1 <= m <= inf
+(m = 1 is the identity, m = inf the limit stretch), or are generated
+numerically from a radial weight q through
 
     rho(r) = exp( - integral_r^1 dt / (t * q(t)^(1/(n-1))) ).
 
@@ -37,9 +37,7 @@ __all__ = [
     "spherical_mean",
     "lehto_integral",
     "RadialProfile",
-    "IdentityProfile",
     "Example2Profile",
-    "LimitStretchProfile",
     "NumericProfile",
     "InverseProfile",
     "StretchFactors",
@@ -154,8 +152,9 @@ def example1_weight(n: int = 2) -> RadialWeight:
 
 
 def truncated_power_weight(n: int, m: float) -> RadialWeight:
-    """q(t) = t^(-n) outside radius 1/m, 1 inside (registry example 2)."""
-    if m < 1.0:
+    """q(t) = t^(-n) outside radius 1/m, 1 inside (registry example 2);
+    m = inf is the power weight."""
+    if not (m >= 1.0):
         raise ValueError("truncation parameter m must be >= 1")
     cut = 1.0 / m
 
@@ -251,81 +250,46 @@ class RadialProfile:
     def inverse(self, s: float) -> float:
         raise NotImplementedError
 
-    @property
-    def rho_at_zero(self) -> float | None:
-        """Limit of rho at 0+ when known (None for numeric profiles)."""
-        return None
-
     def range_floor(self) -> float:
-        """Lower end of the values :meth:`inverse` resolves."""
-        return self.rho_at_zero or 0.0
+        """Lower end of the values :meth:`inverse` resolves: rho(0+) for the
+        closed-form profiles."""
+        return 0.0
 
     def _check_radius(self, r: float) -> None:
         if not (0.0 < r <= 1.0 + 1e-12):
             raise ValueError(f"profile radius {r!r} outside (0, 1]")
 
 
-class LimitStretchProfile(RadialProfile):
-    """rho(r) = exp(((n-1)/n) (r^(n/(n-1)) - 1)), the m -> inf limit of
-    the truncated family; for n = 2 this is exp((r^2 - 1)/2)."""
-
-    def __init__(self, n: int = 2):
-        if n < 2:
-            raise ValueError("dimension must be at least 2")
-        self.n = n
-        self._a = (n - 1.0) / n
-        self._b = n / (n - 1.0)
-        self.kink_radii = ()
-
-    def value(self, r: float) -> float:
-        self._check_radius(r)
-        r = min(float(r), 1.0)
-        return math.exp(self._a * (r**self._b - 1.0))
-
-    def derivative(self, r: float, side: int = 0) -> float:
-        self._check_radius(r)
-        r = min(float(r), 1.0)
-        return self.value(r) * r ** (self._b - 1.0)
-
-    def inverse(self, s: float) -> float:
-        if not (0.0 < s <= 1.0 + 1e-12):
-            raise ValueError(f"value {s!r} outside the profile range")
-        s = min(float(s), 1.0)
-        t = 1.0 + math.log(s) / self._a
-        if t <= 0.0:
-            raise ValueError(
-                f"value {s!r} below the profile range (rho(0+) = {self.rho_at_zero:g})"
-            )
-        return t ** (1.0 / self._b)
-
-    @property
-    def rho_at_zero(self) -> float:
-        return math.exp(-self._a)
-
-
 class Example2Profile(RadialProfile):
-    """Truncated power-weight profile: linear scaling inside radius 1/m,
-    the limit-stretch branch outside.  m = 1 degenerates to the identity."""
+    """Truncated power-weight profile for 1 <= m <= inf: linear scaling
+    inside radius 1/m, the limit stretch exp(((n-1)/n) (r^(n/(n-1)) - 1))
+    outside.  m = 1 is the identity; m = inf is the limit stretch itself,
+    with no linear core, whose range starts at rho(0+) = e^(-(n-1)/n)."""
 
     def __init__(self, n: int = 2, m: float = 2.0):
         if n < 2:
             raise ValueError("dimension must be at least 2")
-        if m < 1.0:
+        if not (m >= 1.0):
             raise ValueError("truncation parameter m must be >= 1")
         self.n = n
         self.m = float(m)
-        self._outer = LimitStretchProfile(n)
+        self._a = (n - 1.0) / n
+        self._b = n / (n - 1.0)
         self._cut = 1.0 / self.m
         # inner slope: continuity at 1/m gives rho = m * slope0 * r there
-        self._slope = self.m * self._outer.value(self._cut)
-        self.kink_radii = (self._cut,) if self.m > 1.0 else ()
+        # (inf at m = inf, where no radius lies inside the cut)
+        self._slope = self.m * self._stretch(self._cut)
+        self.kink_radii = (self._cut,) if 1.0 < self.m < math.inf else ()
+
+    def _stretch(self, r: float) -> float:
+        return math.exp(self._a * (r**self._b - 1.0))
 
     def value(self, r: float) -> float:
         self._check_radius(r)
         r = min(float(r), 1.0)
         if r <= self._cut:
             return self._slope * r
-        return self._outer.value(r)
+        return self._stretch(r)
 
     def derivative(self, r: float, side: int = 0) -> float:
         self._check_radius(r)
@@ -333,30 +297,25 @@ class Example2Profile(RadialProfile):
         at_cut = abs(r - self._cut) <= 1e-12 * self._cut
         if r < self._cut or (at_cut and side < 0):
             return self._slope
-        if at_cut and side == 0 and self.m > 1.0:
-            # branch point belongs to the outer branch
-            return self._outer.derivative(self._cut)
-        return self._outer.derivative(max(r, self._cut))
+        if at_cut and side == 0:
+            r = self._cut  # the branch point belongs to the outer branch
+        return self._stretch(r) * r ** (self._b - 1.0)
 
     def inverse(self, s: float) -> float:
         if not (0.0 <= s <= 1.0 + 1e-12):
             raise ValueError(f"value {s!r} outside the profile range")
         s = min(float(s), 1.0)
-        top = self._slope * self._cut
-        if s <= top:
+        if self._cut > 0.0 and s <= self._slope * self._cut:
             return s / self._slope
-        return self._outer.inverse(s)
+        t = 1.0 + math.log(s) / self._a if s > 0.0 else 0.0
+        if t <= 0.0:
+            raise ValueError(
+                f"value {s!r} below the profile range (rho(0+) = {self.range_floor():g})"
+            )
+        return t ** (1.0 / self._b)
 
-    @property
-    def rho_at_zero(self) -> float:
-        return 0.0
-
-
-class IdentityProfile(Example2Profile):
-    """The identity map: the truncated family at m = 1."""
-
-    def __init__(self, n: int = 2):
-        super().__init__(n, 1.0)
+    def range_floor(self) -> float:
+        return 0.0 if self._cut > 0.0 else math.exp(-self._a)
 
 
 # NumericProfile caches its suffix integrals at nodes down to this radius
@@ -402,19 +361,18 @@ class NumericProfile(RadialProfile):
         self._tails = np.concatenate([np.cumsum(segs[::-1])[::-1], [0.0]])
         self.kink_radii = tuple(weight.breakpoints(_R_FLOOR, 1.0))
 
-    def _tail_from(self, r: float) -> float:
-        """integral_r^1 of the generating integrand; may raise on divergence."""
-        if r >= 1.0:
-            return 0.0
-        i = int(np.searchsorted(self._nodes, r, side="left"))
-        if i >= len(self._nodes):
-            return 0.0
-        node = float(self._nodes[i])
-        tail = float(self._tails[i])
+    def _tail_from(self, r: float, node: float, tail: float) -> float:
+        """integral_r^1 of the generating integrand, given its value ``tail``
+        at a radius ``node`` >= r; inf where the integral overflows."""
         if node > r:
-            res = adaptive_integral_1d(
-                self._g, r, node, self.QUAD, breakpoints=self.weight.breakpoints(r, node)
-            )
+            try:
+                res = adaptive_integral_1d(
+                    self._g, r, node, self.QUAD, breakpoints=self.weight.breakpoints(r, node)
+                )
+            except QuadratureNonConvergence as exc:
+                if exc.estimate > 50.0:
+                    return math.inf
+                raise
             tail += res.value
         return tail
 
@@ -422,13 +380,8 @@ class NumericProfile(RadialProfile):
         """rho(r), reported as 0 where the generating integral overflows."""
         self._check_radius(r)
         r = min(float(r), 1.0)
-        try:
-            tail = self._tail_from(r)
-        except QuadratureNonConvergence as exc:
-            if exc.estimate > 50.0:
-                return 0.0
-            raise
-        return 0.0 if tail > 700.0 else math.exp(-tail)
+        i = int(np.searchsorted(self._nodes, r, side="left"))
+        return _rho(self._tail_from(r, float(self._nodes[i]), float(self._tails[i])))
 
     def derivative(self, r: float, side: int = 0) -> float:
         self._check_radius(r)
@@ -443,13 +396,24 @@ class NumericProfile(RadialProfile):
         if not (0.0 < s <= 1.0 + 1e-12):
             raise ValueError(f"value {s!r} outside the profile range")
         s = min(float(s), 1.0)
-        lo, hi = _R_FLOOR, 1.0
-        # extend the bracket below the node floor, down to range_floor()
-        while s < self.value(lo):
+        if s >= self.value(_R_FLOOR):
+            return _monotone_root(self.value, _R_FLOOR, 1.0, s)
+        # Below the node floor each value integrates only up to the nearest
+        # radius this call has already integrated.
+        tails = {_R_FLOOR: float(self._tails[0])}
+
+        def value(r: float) -> float:
+            node = min(t for t in tails if t >= r)
+            tails[r] = tail = self._tail_from(r, node, tails[node])
+            return _rho(tail)
+
+        # extend the bracket down to range_floor()
+        hi, lo = _R_FLOOR, 0.25 * _R_FLOOR
+        while s < value(lo):
             if lo < _R_MIN:
                 raise ValueError(f"value {s!r} below the resolvable profile range")
             hi, lo = lo, lo * 0.25
-        return _monotone_root(self.value, lo, hi, s)
+        return _monotone_root(value, lo, hi, s)
 
     def range_floor(self) -> float:
         """rho at the deepest radius :meth:`inverse` brackets with."""
@@ -481,10 +445,10 @@ class InverseProfile(RadialProfile):
     def inverse(self, s: float) -> float:
         return self.base.value(s)
 
-    @property
-    def rho_at_zero(self) -> float | None:
-        z = self.base.rho_at_zero
-        return 0.0 if z == 0.0 else None
+
+def _rho(tail: float) -> float:
+    """exp(-tail), reported as 0 once the tail integral passes 700."""
+    return 0.0 if tail > 700.0 else math.exp(-tail)
 
 
 def _monotone_root(fn: Callable[[float], float], lo: float, hi: float, target: float) -> float:

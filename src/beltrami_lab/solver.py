@@ -285,6 +285,8 @@ class SolveConfig:
             raise ValueError("grid must contain [-L, L]^2 with L >= 1.5")
         if g.dx != g.dy:
             raise ValueError("grid cells must be square (dx == dy)")
+        if g.nx != g.ny:
+            raise ValueError("grid must be square (nx == ny)")
         if not (self.fix_tol > 0.0):
             raise ValueError("fix_tol must be positive")
         if self.max_iter < 1:

@@ -26,9 +26,7 @@ from beltrami_lab.dilatation import (
 from beltrami_lab.numerics import ComplexField, GridSpec, wirtinger_at_point
 from beltrami_lab.radial import (
     Example2Profile,
-    IdentityProfile,
     InverseProfile,
-    LimitStretchProfile,
     NumericProfile,
     example1_weight,
     inverse_poletsky_check,
@@ -133,7 +131,7 @@ class TestAcceptance:
         worst_profile = 0.0
         for n in (2, 3, 5):
             numeric = NumericProfile(power_weight(n))
-            closed = LimitStretchProfile(n)
+            closed = Example2Profile(n, math.inf)
             for r in np.linspace(0.05, 1.0, 40):
                 worst_profile = max(
                     worst_profile, abs(numeric.value(float(r)) - closed.value(float(r)))
@@ -156,22 +154,22 @@ class TestAcceptance:
 
     def test_06_modulus_inequality_on_ring_preimages(self):
         registry = [
-            (IdentityProfile(2), unit_weight(2)),
-            (LimitStretchProfile(2), power_weight(2)),
+            (Example2Profile(2, 1.0), unit_weight(2)),
+            (Example2Profile(2, math.inf), power_weight(2)),
             (Example2Profile(2, 2.0), truncated_power_weight(2, 2.0)),
-            (LimitStretchProfile(3), power_weight(3)),
+            (Example2Profile(3, math.inf), power_weight(3)),
         ]
         rng = np.random.default_rng(2)
         all_hold = True
         for profile, weight in registry:
-            lo = (profile.rho_at_zero or 0.0) + 0.02
+            lo = profile.range_floor() + 0.02
             for _ in range(20):
                 r1 = float(rng.uniform(lo, 0.9))
                 r2 = float(rng.uniform(r1 + 0.02, 1.0))
                 all_hold &= inverse_poletsky_check(profile, weight, r1, r2).holds
-        ident = inverse_poletsky_check(IdentityProfile(2), unit_weight(2), 0.3, 0.8)
+        ident = inverse_poletsky_check(Example2Profile(2, 1.0), unit_weight(2), 0.3, 0.8)
         equality = abs(ident.lhs - ident.rhs) <= 1e-12 * ident.rhs
-        worked = inverse_poletsky_check(LimitStretchProfile(2), power_weight(2), 0.9, 1.0)
+        worked = inverse_poletsky_check(Example2Profile(2, math.inf), power_weight(2), 0.9, 1.0)
         s1 = math.sqrt(1.0 + 2.0 * math.log(0.9))
         lhs_want = 2.0 * math.pi / math.log(1.0 / s1)
         rhs_want = 2.0 * math.pi / ((1.0 - 0.81) / 2.0)

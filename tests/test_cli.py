@@ -111,6 +111,24 @@ class TestParseConfig:
             parse_config(["dilatation", "--scan-radii", "0.5,-0.1"])
         with pytest.raises(ConfigError):
             parse_config(["dilatation", "--scan-radii", "a,b"])
+        for radii in ("nan,0.5", "inf,0.5", "0.5,nan"):
+            with pytest.raises(ConfigError):
+                parse_config(["dilatation", "--scan-radii", radii])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["truncate", "--bound", "nan"],
+            ["solve", "--residual-tol", "nan"],
+            ["radial", "--profile", "example2", "--m", "nan"],
+            ["holder", "--map", "example2", "--m", "nan"],
+        ],
+    )
+    def test_nan_flags_are_config_errors(self, capsys, argv):
+        # a NaN threshold would turn its check into a FAIL with a null
+        # threshold; a NaN m would pass the m >= 1 rule unnoticed
+        assert main(argv) == 2
+        assert argv[-2] in capsys.readouterr().err
 
     def test_seed_and_out_propagate(self):
         cfg = parse_config(["holder", "--seed", "7", "--out", "elsewhere"])
@@ -403,6 +421,18 @@ class TestRadialCommand:
         assert code == 0
         doc = _read_json(os.path.join(out, "radial.summary.json"))
         assert doc["checks"]["modulus_inequality"]["passed"] is True
+
+    def test_example2_at_m_inf_is_the_limit_stretch(self, tmp_path):
+        outs = [str(tmp_path / name) for name in ("inf", "limit")]
+        assert main(["radial", "--profile", "example2", "--m", "inf", "--pairs", "4",
+                     "--out", outs[0]]) == 0
+        assert main(["radial", "--profile", "example4-limit", "--pairs", "4",
+                     "--out", outs[1]]) == 0
+        for name in ("profile.csv", "poletsky.csv"):
+            texts = [open(os.path.join(out, name)).read() for out in outs]
+            assert texts[0] == texts[1]
+        assert main(["holder", "--map", "example2", "--m", "inf", "--pairs", "40",
+                     "--scales", "3:8", "--out", str(tmp_path / "holder")]) == 0
 
     @pytest.mark.parametrize("alpha", ["0.01", "0.001"])
     def test_flat_numeric_profile_draws_resolvable_radii(self, tmp_path, alpha):

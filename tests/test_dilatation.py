@@ -13,7 +13,6 @@ from beltrami_lab.dilatation import (
     build_dilatation_report,
     example3_image_weight,
     example3_truncation_radius,
-    example4_image_weight,
     example4_truncation_radius,
     inverse_example3,
     inverse_example4,
@@ -235,7 +234,7 @@ class TestWeightMass:
         assert rep.partial > 0.0
 
     def test_log_image_weight_divergent(self):
-        rep = l1_norm(example4_image_weight())
+        rep = l1_norm(FAMILIES["example4"].image_weight(None))
         assert rep.divergent
 
     def test_oscillating_weight_divergent(self):

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beltrami_lab import radial
 from beltrami_lab.numerics import adaptive_integral_1d, unit_sphere_area
 from beltrami_lab.radial import (
     Example2Profile,
-    IdentityProfile,
     InverseProfile,
-    LimitStretchProfile,
     NumericProfile,
     RadialWeight,
     annulus_modulus,
@@ -30,10 +29,10 @@ from beltrami_lab.radial import (
 
 class TestProfiles:
     def test_limit_stretch_closed_form(self):
-        p = LimitStretchProfile(2)
+        p = Example2Profile(2, math.inf)
         assert p.value(1.0) == pytest.approx(1.0, abs=1e-15)
         assert p.value(0.5) == pytest.approx(math.exp((0.25 - 1.0) / 2.0), rel=1e-14)
-        assert p.rho_at_zero == pytest.approx(math.exp(-0.5), rel=1e-14)
+        assert p.range_floor() == pytest.approx(math.exp(-0.5), rel=1e-14)
         # derivative against a centered difference
         h = 1e-6
         fd = (p.value(0.7 + h) - p.value(0.7 - h)) / (2.0 * h)
@@ -50,11 +49,32 @@ class TestProfiles:
     def test_example2_m1_is_identity(self):
         p = Example2Profile(2, 1.0)
         assert p.kink_radii == ()
-        for r in (0.1, 0.5, 0.9, 1.0):
-            assert p.value(r) == pytest.approx(r, rel=1e-12)
+        assert p.range_floor() == 0.0
+        for r in (0.1, 0.5, 0.9, 1.0, 1.0 / 3.0):
+            assert p.value(r) == r
+            assert p.inverse(r) == r
 
     @pytest.mark.parametrize("n", [2, 3, 5])
-    @pytest.mark.parametrize("m", [1.0, 2.0, 5.0])
+    def test_example2_at_m_inf_has_range_floor(self, n):
+        # no linear core and no kink; the range starts at rho(0+)
+        p = Example2Profile(n, math.inf)
+        a = (n - 1.0) / n
+        assert p.kink_radii == ()
+        assert p.range_floor() == pytest.approx(math.exp(-a), rel=1e-15)
+        assert p.inverse(p.range_floor() * (1.0 + 1e-9)) < 1e-3
+        for s in (0.0, 0.5 * p.range_floor(), p.range_floor() * (1.0 - 1e-9)):
+            with pytest.raises(ValueError, match="below the profile range"):
+                p.inverse(s)
+
+    @pytest.mark.parametrize("m", [math.nan, 0.5, -math.inf])
+    def test_truncation_parameter_below_one_or_nan_rejected(self, m):
+        with pytest.raises(ValueError):
+            Example2Profile(2, m)
+        with pytest.raises(ValueError):
+            truncated_power_weight(2, m)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("m", [1.0, 2.0, 5.0, math.inf])
     def test_round_trip(self, n, m):
         p = Example2Profile(n, m)
         rng = np.random.default_rng(17)
@@ -64,7 +84,7 @@ class TestProfiles:
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_numeric_profile_matches_closed_form(self, n):
         num = NumericProfile(power_weight(n))
-        ref = LimitStretchProfile(n)
+        ref = Example2Profile(n, math.inf)
         for r in np.linspace(0.02, 1.0, 25):
             assert num.value(float(r)) == pytest.approx(ref.value(float(r)), abs=1e-8)
 
@@ -74,6 +94,24 @@ class TestProfiles:
         for r in np.linspace(0.05, 1.0, 20):
             assert num.value(float(r)) == pytest.approx(ref.value(float(r)), abs=1e-8)
 
+    def test_numeric_inverse_below_node_floor(self, monkeypatch):
+        # below the node floor each bisection step integrates only up to
+        # the nearest radius already integrated, not from scratch
+        p = NumericProfile(example1_weight(2))
+        evaluations = []
+
+        def counted(*args, **kwargs):
+            res = adaptive_integral_1d(*args, **kwargs)
+            evaluations.append(res.evaluations)
+            return res
+
+        monkeypatch.setattr(radial, "adaptive_integral_1d", counted)
+        r = p.inverse(0.01)
+        assert sum(evaluations) <= 600_000
+        monkeypatch.undo()
+        assert r < 1e-3
+        assert abs(p.value(r) - 0.01) <= 1e-12
+
     def test_inverse_profile_wraps_base(self):
         base = Example2Profile(2, 2.0)
         inv = InverseProfile(base)
@@ -81,7 +119,7 @@ class TestProfiles:
         assert inv.kink_radii == (base.value(0.5),)
 
     def test_out_of_domain_radius(self):
-        p = IdentityProfile(2)
+        p = Example2Profile(2, 1.0)
         with pytest.raises(ValueError):
             p.value(1.5)
         with pytest.raises(ValueError):
@@ -180,13 +218,13 @@ class TestModulus:
 
 class TestPoletsky:
     def test_identity_extremal_equality(self):
-        rep = inverse_poletsky_check(IdentityProfile(2), unit_weight(2), 0.3, 0.8)
+        rep = inverse_poletsky_check(Example2Profile(2, 1.0), unit_weight(2), 0.3, 0.8)
         assert rep.holds
         assert rep.lhs == pytest.approx(rep.rhs, rel=1e-12)
 
     def test_worked_pair_limit_profile(self):
         rep = inverse_poletsky_check(
-            LimitStretchProfile(2), power_weight(2), 0.9, 1.0
+            Example2Profile(2, math.inf), power_weight(2), 0.9, 1.0
         )
         # closed forms: preimage radii (sqrt(1 + 2 ln 0.9), 1) and Lehto
         # integral (1 - 0.81)/2
@@ -201,17 +239,17 @@ class TestPoletsky:
     @pytest.mark.parametrize(
         "profile,weight",
         [
-            (IdentityProfile(2), unit_weight(2)),
-            (LimitStretchProfile(2), power_weight(2)),
+            (Example2Profile(2, 1.0), unit_weight(2)),
+            (Example2Profile(2, math.inf), power_weight(2)),
             (Example2Profile(2, 2.0), truncated_power_weight(2, 2.0)),
-            (LimitStretchProfile(3), power_weight(3)),
+            (Example2Profile(3, math.inf), power_weight(3)),
         ],
     )
     def test_holds_on_random_pairs(self, profile, weight):
         rng = np.random.default_rng(5)
         # image radii must lie inside the map's range, which starts at
         # rho(0+) for profiles that compress the origin
-        lo = (profile.rho_at_zero or 0.0) + 0.02
+        lo = profile.range_floor() + 0.02
         for _ in range(5):
             r1 = float(rng.uniform(lo, 0.9))
             r2 = float(rng.uniform(r1 + 0.02, 1.0))
@@ -220,15 +258,15 @@ class TestPoletsky:
 
     def test_bad_radii(self):
         with pytest.raises(ValueError):
-            inverse_poletsky_check(IdentityProfile(2), unit_weight(2), 0.8, 0.3)
+            inverse_poletsky_check(Example2Profile(2, 1.0), unit_weight(2), 0.8, 0.3)
 
 
 class TestStretchAndKip:
     def test_identity_factors(self):
-        fac = radial_stretch_factors(IdentityProfile(2), 0.5)
+        fac = radial_stretch_factors(Example2Profile(2, 1.0), 0.5)
         assert fac.tangential == pytest.approx(1.0)
         assert fac.radial == pytest.approx(1.0)
-        assert radial_K_Ip(IdentityProfile(2), 0.5, 1.5) == pytest.approx(1.0)
+        assert radial_K_Ip(Example2Profile(2, 1.0), 0.5, 1.5) == pytest.approx(1.0)
 
     def test_linear_branch_kip(self):
         # inside the cut the map is a pure scaling by c, where the order-p
@@ -239,7 +277,7 @@ class TestStretchAndKip:
         assert got == pytest.approx(c ** (2.0 - 1.5), rel=1e-12)
 
     def test_order_two_matches_classical(self):
-        p = LimitStretchProfile(2)
+        p = Example2Profile(2, math.inf)
         s = 0.6
         fac = radial_stretch_factors(p, s)
         classical = max(fac.tangential, fac.radial) / min(fac.tangential, fac.radial)
@@ -254,9 +292,9 @@ class TestStretchAndKip:
 
     def test_identity_energy_is_disk_area(self):
         # both routes collapse to the plain disk area for the identity
-        assert kip_integral_image_route(IdentityProfile(2), 1.5) == pytest.approx(
+        assert kip_integral_image_route(Example2Profile(2, 1.0), 1.5) == pytest.approx(
             math.pi, rel=1e-10
         )
-        assert kip_integral_source_route(IdentityProfile(2), 1.5) == pytest.approx(
+        assert kip_integral_source_route(Example2Profile(2, 1.0), 1.5) == pytest.approx(
             math.pi, rel=1e-10
         )

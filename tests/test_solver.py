@@ -177,10 +177,14 @@ class TestSolvePrincipal:
             SolveConfig(grid=GridSpec.square(64, 1.2))
 
     def test_grid_cells_must_be_square(self):
-        # the lattice correction assumes a square period lattice
-        g = GridSpec(nx=64, ny=64, x_min=-2.0, y_min=-2.0, dx=4.0 / 63, dy=4.1 / 63)
-        with pytest.raises(ValueError):
-            SolveConfig(grid=g)
+        # the lattice corrections assume a square period lattice: square
+        # cells and as many columns as rows
+        for g in (
+            GridSpec(nx=64, ny=64, x_min=-2.0, y_min=-2.0, dx=4.0 / 63, dy=4.1 / 63),
+            GridSpec(nx=80, ny=64, x_min=-2.0, y_min=-2.0, dx=4.0 / 63, dy=4.0 / 63),
+        ):
+            with pytest.raises(ValueError):
+                SolveConfig(grid=g)
 
     def test_lattice_correction_matches_wide_torus(self, monkeypatch):
         # reference: the same Neumann loop through the public Beurling
