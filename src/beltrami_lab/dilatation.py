@@ -356,21 +356,17 @@ def check_radii(radii: Sequence[float]) -> tuple:
     return rs
 
 
-def spherical_integrability_scan(
-    Q,
-    y0,
-    radii: Sequence[float],
-    n: int = 2,
-) -> IntegrabilityScan:
-    """Per-radius finiteness of the spherical mean of Q about y0, plus a
-    trapezoid estimate of the measure of the radius set with finite mean."""
+def spherical_integrability_scan(Q, y0, radii: Sequence[float]) -> IntegrabilityScan:
+    """Per-radius finiteness of the mean of Q over the circle about y0 in
+    the plane (a radial weight's own value q(r)), plus a trapezoid estimate
+    of the measure of the radius set with finite mean."""
     rs = sorted(check_radii(radii))
     means = []
     for r in rs:
         if isinstance(Q, RadialWeight):
             means.append(float(Q.q(r)))
         else:
-            means.append(spherical_mean(Q, y0, r, n))
+            means.append(spherical_mean(Q, y0, r))
     flags = [math.isfinite(v) for v in means]
     measure = 0.0
     for i in range(len(rs) - 1):
@@ -405,7 +401,7 @@ def build_dilatation_report(
     l1 = l1_norm(weight) if weight is not None else None
     scan = None
     if weight is not None and scan_radii is not None:
-        scan = spherical_integrability_scan(weight, None, scan_radii, weight.n)
+        scan = spherical_integrability_scan(weight, None, scan_radii)
     return DilatationReport(
         kind=spec.kind,
         k_cap=spec.k_cap,
@@ -494,7 +490,7 @@ def example3_image_weight(alpha: float) -> RadialWeight:
             return math.inf
         return (s**alpha + 1.0) / (alpha * s**alpha)
 
-    return RadialWeight(2, q, name=f"example3-image(alpha={alpha:g})")
+    return RadialWeight(2, q)
 
 
 @dataclass(frozen=True)

@@ -120,10 +120,9 @@ def wirtinger_derivatives(field: ComplexField) -> tuple[ComplexField, ComplexFie
     return ComplexField(field.grid, fz), ComplexField(field.grid, fzbar)
 
 
-def wirtinger_at_point(
-    f: Callable[[complex], complex], z: complex, step: float = 1e-5
-) -> tuple[complex, complex]:
-    """Pointwise (f_z, f_zbar) of a map by centered differences of size ``step``."""
+def wirtinger_at_point(f: Callable[[complex], complex], z: complex) -> tuple[complex, complex]:
+    """Pointwise (f_z, f_zbar) of a map by centered differences of size 1e-5."""
+    step = 1e-5
     fx = (f(z + step) - f(z - step)) / (2.0 * step)
     fy = (f(z + 1j * step) - f(z - 1j * step)) / (2.0 * step)
     return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
@@ -137,13 +136,14 @@ def wirtinger_at_point(
 class QuadratureConfig:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
-    max_depth: int = 48
 
     def __post_init__(self) -> None:
         if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
             raise ValueError("quadrature tolerances must be positive")
-        if not (0 < self.max_depth <= 60):
-            raise ValueError("max_depth must lie in 1..60")
+
+
+# Halvings after which adaptive_integral_1d stops refining a panel
+_MAX_DEPTH = 48
 
 
 class QuadratureResult(NamedTuple):
@@ -153,7 +153,7 @@ class QuadratureResult(NamedTuple):
 
 
 class QuadratureNonConvergence(RuntimeError):
-    """Raised when max_depth is exhausted; carries the partial estimate."""
+    """Raised when the refinement depth is exhausted; carries the partial estimate."""
 
     def __init__(self, estimate: float, error_bound: float, evaluations: int):
         super().__init__(
@@ -228,8 +228,8 @@ def adaptive_integral_1d(
     segment is then refined independently.  Subdivision proceeds worst
     interval first until the summed error estimate is below
     ``max(abs_tol, rel_tol*|value|)``.  When every offending interval has
-    reached ``max_depth``, :class:`QuadratureNonConvergence` is raised
-    carrying the partial estimate.
+    reached ``_MAX_DEPTH`` halvings, :class:`QuadratureNonConvergence` is
+    raised carrying the partial estimate.
     """
     cfg = cfg or QuadratureConfig()
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -239,7 +239,7 @@ def adaptive_integral_1d(
 
     edges = [a, *sorted({float(t) for t in breakpoints if a < t < b}), b]
     # panels: (-err, tiebreak, lo, hi, value, depth); ``heap`` holds the
-    # refinable ones, ``parked`` those at max_depth
+    # refinable ones, ``parked`` those at _MAX_DEPTH
     heap, parked = [], []
     for lo, hi in zip(edges, edges[1:]):
         v, e = _gk15(f, lo, hi)
@@ -264,7 +264,7 @@ def adaptive_integral_1d(
                 raise QuadratureNonConvergence(total, err, evals)
         panel = heapq.heappop(heap)
         neg_e, _, lo, hi, v, depth = panel
-        if depth >= cfg.max_depth:
+        if depth >= _MAX_DEPTH:
             parked.append(panel)
             parked_err -= neg_e
             continue

@@ -1,4 +1,4 @@
-"""Radial stretch maps, spherical means, Lehto integrals and ring moduli.
+"""Radial stretch maps, planar spherical means, Lehto integrals and ring moduli.
 
 A radial map sends x to (x/|x|) * rho(|x|) for an increasing profile rho on
 (0, 1] with rho(1) = 1.  Profiles either come in closed form, as the one
@@ -9,7 +9,9 @@ numerically from a radial weight q through
     rho(r) = exp( - integral_r^1 dt / (t * q(t)^(1/(n-1))) ).
 
 The generating integral is the Lehto integral; its divergence as r -> 0 is
-what the degeneracy scans in :mod:`beltrami_lab.verify` probe.
+what the degeneracy scans in :mod:`beltrami_lab.verify` probe.  Weights and
+profiles live in any dimension n >= 2; spherical means are planar, averages
+over circles about a point.
 """
 
 from __future__ import annotations
@@ -66,7 +68,6 @@ class RadialWeight:
 
     n: int
     q: Callable[[float], float]
-    name: str = "custom"
     breakpoints_in: Callable[[float, float], tuple] | None = None
 
     def __post_init__(self) -> None:
@@ -95,12 +96,12 @@ class RadialWeight:
 
 
 def unit_weight(n: int = 2) -> RadialWeight:
-    return RadialWeight(n, lambda t: 1.0, name="unit")
+    return RadialWeight(n, lambda t: 1.0)
 
 
 def power_weight(n: int = 2) -> RadialWeight:
     """q(t) = t^(-n), the borderline non-integrable weight."""
-    return RadialWeight(n, lambda t: t ** (-float(n)), name=f"power{n}")
+    return RadialWeight(n, lambda t: t ** (-float(n)))
 
 
 def _example1_phi(t: float, n: int) -> float:
@@ -119,7 +120,8 @@ def _example1_phi(t: float, n: int) -> float:
 
 
 # Most jump radii example1_weight lists for one interval.  The cap bounds
-# memory; every scan, profile and the r = 1e-4 Lehto integral stay below it.
+# memory; every scan, profile and the r = 1e-4 Lehto integral stay below it,
+# and NumericProfile descends below its node floor only while they do.
 _MAX_JUMPS = 2**16
 # Jumps listed for an interval reaching 0, which holds infinitely many.  The
 # rest are left to adaptive splitting; each listed one is a panel.
@@ -146,9 +148,7 @@ def example1_weight(n: int = 2) -> RadialWeight:
             1.0 / j for j in range(j_lo, j_hi + 1) if a < 1.0 / j < b
         )
 
-    return RadialWeight(
-        n, lambda t: _example1_phi(t, n), name="example1", breakpoints_in=breakpoints
-    )
+    return RadialWeight(n, lambda t: _example1_phi(t, n), breakpoints_in=breakpoints)
 
 
 def truncated_power_weight(n: int, m: float) -> RadialWeight:
@@ -164,36 +164,21 @@ def truncated_power_weight(n: int, m: float) -> RadialWeight:
     def breakpoints(a: float, b: float) -> tuple:
         return (cut,) if a < cut < b else ()
 
-    return RadialWeight(n, q, name=f"example2(n={n},m={m:g})", breakpoints_in=breakpoints)
+    return RadialWeight(n, q, breakpoints_in=breakpoints)
 
 
-def spherical_mean(
-    Q: Callable,
-    y0,
-    r: float,
-    n: int = 2,
-) -> float:
-    """Average of Q over the sphere S(y0, r).
+def spherical_mean(Q: Callable, y0, r: float) -> float:
+    """Average of Q over the circle S(y0, r) in the plane.
 
-    Q takes a point as a length-n array.  For n = 2 the mean is an adaptive
-    angular quadrature; for other n the function must be marked radial
-    about the origin (attribute ``radial_about_origin``) with y0 = 0, in
-    which case the mean is the direct evaluation Q(r * e1).  An infinite
-    integrand at any quadrature node makes the mean ``inf``.
+    Q takes a point as a length-2 array; y0 = None is the origin.  The mean
+    is an adaptive angular quadrature, and an infinite integrand at any
+    quadrature node makes it ``inf``.
     """
     if r <= 0.0:
         raise ValueError("sphere radius must be positive")
-    y0 = np.zeros(n) if y0 is None else np.asarray(y0, dtype=float)
-    if y0.shape != (n,):
-        raise ValueError(f"center must be a point of R^{n}")
-    if getattr(Q, "radial_about_origin", False) and not np.any(y0):
-        e1 = np.zeros(n)
-        e1[0] = r
-        return float(Q(e1))
-    if n != 2:
-        raise ValueError(
-            "spherical means for n != 2 need a weight marked radial about 0"
-        )
+    y0 = np.zeros(2) if y0 is None else np.asarray(y0, dtype=float)
+    if y0.shape != (2,):
+        raise ValueError("center must be a point of the plane")
 
     def integrand(theta: float) -> float:
         p = y0 + r * np.array([math.cos(theta), math.sin(theta)])
@@ -320,7 +305,7 @@ class Example2Profile(RadialProfile):
 
 # NumericProfile caches its suffix integrals at nodes down to this radius
 _R_FLOOR = 1e-3
-# NumericProfile.inverse brackets below _R_FLOOR in steps of 4 until under this
+# NumericProfile descends below _R_FLOOR in steps of 4 until under this
 _R_MIN = 1e-9
 
 
@@ -392,6 +377,21 @@ class NumericProfile(RadialProfile):
         # one-sided value just off a weight jump
         return self._g(r * (1.0 + side * 1e-13)) * rho
 
+    def _descent(self):
+        """(r, integral_r^1) for r = _R_FLOOR/4, _R_FLOOR/16, ..., each
+        integrated from the radius before, down to the first r under _R_MIN.
+        It stops early before a step whose interval lists _MAX_JUMPS or more
+        jumps of the weight: past those, adaptive splitting would have to
+        find the remaining jumps one at a time."""
+        hi, tail = _R_FLOOR, float(self._tails[0])
+        while hi >= _R_MIN:
+            lo = 0.25 * hi
+            if len(self.weight.breakpoints(lo, hi)) >= _MAX_JUMPS:
+                return
+            tail = self._tail_from(lo, hi, tail)
+            yield lo, tail
+            hi = lo
+
     def inverse(self, s: float) -> float:
         if not (0.0 < s <= 1.0 + 1e-12):
             raise ValueError(f"value {s!r} outside the profile range")
@@ -407,20 +407,20 @@ class NumericProfile(RadialProfile):
             tails[r] = tail = self._tail_from(r, node, tails[node])
             return _rho(tail)
 
-        # extend the bracket down to range_floor()
-        hi, lo = _R_FLOOR, 0.25 * _R_FLOOR
-        while s < value(lo):
-            if lo < _R_MIN:
-                raise ValueError(f"value {s!r} below the resolvable profile range")
-            hi, lo = lo, lo * 0.25
-        return _monotone_root(value, lo, hi, s)
+        hi = _R_FLOOR
+        for lo, tail in self._descent():
+            tails[lo] = tail
+            if s >= _rho(tail):
+                return _monotone_root(value, lo, hi, s)
+            hi = lo
+        raise ValueError(f"value {s!r} below the resolvable profile range")
 
     def range_floor(self) -> float:
         """rho at the deepest radius :meth:`inverse` brackets with."""
-        lo = _R_FLOOR
-        while lo >= _R_MIN:
-            lo *= 0.25
-        return self.value(lo)
+        tail = float(self._tails[0])
+        for _, tail in self._descent():
+            pass
+        return _rho(tail)
 
 
 class InverseProfile(RadialProfile):
@@ -529,9 +529,6 @@ class PoletskyReport:
     lhs: float
     rhs: float
     holds: bool
-    lehto_value: float
-    preimage_radii: tuple
-    degenerate: bool
 
 
 def inverse_poletsky_check(
@@ -557,10 +554,9 @@ def inverse_poletsky_check(
     lhs = annulus_modulus(n, s1, s2)
     lehto = lehto_integral(w, r1, min(r2, 1.0))
     if lehto <= 0.0:
-        return PoletskyReport(lhs, math.inf, True, lehto, (s1, s2), True)
+        return PoletskyReport(lhs, math.inf, True)
     rhs = unit_sphere_area(n) / lehto ** (n - 1.0)
-    holds = lhs <= rhs * (1.0 + 1e-9)
-    return PoletskyReport(lhs, rhs, holds, lehto, (s1, s2), False)
+    return PoletskyReport(lhs, rhs, lhs <= rhs * (1.0 + 1e-9))
 
 
 # ---------------------------------------------------------------------------

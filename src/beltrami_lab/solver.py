@@ -200,10 +200,12 @@ def cauchy_transform(h: ComplexField) -> ComplexField:
     zbar term the output of compactly supported data is off by a linear
     deficit at interior points, and without the constant in it by an offset
     that grows with the distance of h's support from 0.  The lattice terms
-    assume a square torus (nx dx == ny dy).  h must vanish near the grid
-    boundary."""
-    _check_boundary_support(h)
+    assume a square torus (nx dx == ny dy), and other grids are rejected.
+    h must vanish near the grid boundary."""
     grid = h.grid
+    if not math.isclose(grid.nx * grid.dx, grid.ny * grid.dy, rel_tol=1e-12):
+        raise ValueError("cauchy_transform needs a square torus (nx dx == ny dy)")
+    _check_boundary_support(h)
     out = _padded_transform(h.data, grid, "cauchy")
     rows, cols = _support_box(h.data)
     xs, ys = grid.xs(), grid.ys()
@@ -305,7 +307,6 @@ class SolveResult:
     mean_term: complex
     final_delta: float
     solve_seconds: float
-    config: SolveConfig
 
 
 @dataclass(frozen=True)
@@ -427,7 +428,6 @@ def solve_principal(mu: MuSpec, cfg: SolveConfig | None = None) -> SolveResult:
         mean_term=_torus_mean(h_field),
         final_delta=delta,
         solve_seconds=time.perf_counter() - t0,
-        config=cfg,
     )
 
 
@@ -550,12 +550,11 @@ def truncation_scheme(
     )
 
 
-def beurling_norm_estimate(
-    grid: GridSpec | None = None, iterations: int = 30, seed: int = 0
-) -> float:
+def beurling_norm_estimate(iterations: int = 30, seed: int = 0) -> float:
     """Power-iteration estimate of the discrete L2 norm of the Beurling
-    transform restricted to fields supported in the unit disk."""
-    grid = grid or GridSpec.square(256, 2.0)
+    transform restricted to fields supported in the unit disk, on the 256^2
+    grid over [-2, 2]^2."""
+    grid = GridSpec.square(256, 2.0)
     rng = np.random.default_rng(seed)
     mask = np.abs(grid.zz()) < 1.0
     v = rng.standard_normal(mask.shape) + 1j * rng.standard_normal(mask.shape)

@@ -164,13 +164,11 @@ def holder_scan(
 
 @dataclass(frozen=True)
 class LehtoScan:
-    delta: float
-    cutoffs: tuple
     values: tuple
     increments: tuple
     normalized_increments: tuple
     classification: str
-    diagnostics: str | None = None
+    diagnostics: str | None
 
 
 def lehto_divergence_scan(
@@ -200,6 +198,7 @@ def lehto_divergence_scan(
     values = []
     increments = []
     normalized = []
+    diagnostics = None
     try:
         total = lehto_integral(w, cuts[0], delta)
         values.append(total)
@@ -210,16 +209,8 @@ def lehto_divergence_scan(
             total += seg
             values.append(total)
     except (QuadratureNonConvergence, IntegrandNonFinite) as exc:
-        return LehtoScan(
-            delta=delta,
-            cutoffs=tuple(cuts),
-            values=tuple(values),
-            increments=tuple(increments),
-            normalized_increments=tuple(normalized),
-            classification="inconclusive",
-            diagnostics=f"quadrature failure: {exc}",
-        )
-    if len(increments) < 3:
+        diagnostics = f"quadrature failure: {exc}"
+    if diagnostics is not None or len(increments) < 3:
         cls = "inconclusive"
     else:
         d3 = increments[-3:]
@@ -233,10 +224,9 @@ def lehto_divergence_scan(
         else:
             cls = "inconclusive"
     return LehtoScan(
-        delta=delta,
-        cutoffs=tuple(cuts),
         values=tuple(values),
         increments=tuple(increments),
         normalized_increments=tuple(normalized),
         classification=cls,
+        diagnostics=diagnostics,
     )

@@ -252,7 +252,7 @@ class TestWeightMass:
 
 class TestIntegrabilityScan:
     def test_weight_with_infinite_band(self):
-        w = RadialWeight(2, lambda t: math.inf if t < 0.3 else 1.0, name="band")
+        w = RadialWeight(2, lambda t: math.inf if t < 0.3 else 1.0)
         scan = spherical_integrability_scan(w, None, np.linspace(0.1, 0.9, 17))
         finite = np.array(scan.finite)
         assert not finite[np.array(scan.radii) < 0.3].any()

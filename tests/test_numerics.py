@@ -128,8 +128,6 @@ class TestQuadrature:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             QuadratureConfig(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureConfig(max_depth=0)
 
     def test_reversed_interval_rejected(self):
         with pytest.raises(ValueError):

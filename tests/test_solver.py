@@ -87,6 +87,15 @@ class TestCauchyTransform:
         with pytest.raises(PaddingError):
             cauchy_transform(ComplexField(g, data))
 
+    @pytest.mark.parametrize("nx, ny", [(160, 128), (128, 160), (200, 128)])
+    def test_non_square_torus_rejected(self, nx, ny):
+        # the lattice terms assume nx dx == ny dy; on a 160 x 128 grid of
+        # square cells the error on an averaged disk was 3.8x the 128 x 128 one
+        step = 4.0 / 127
+        g = GridSpec(nx, ny, -2.0, -2.0, step, step)
+        with pytest.raises(ValueError, match="square torus"):
+            cauchy_transform(_disk_indicator(g))
+
 
 class TestBeurlingTransform:
     def test_disk_indicator_closed_form(self):

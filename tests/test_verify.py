@@ -192,7 +192,7 @@ class TestLehtoDivergenceScan:
         assert sc.classification == "inconclusive"
 
     def test_vanishing_weight_gives_infinite_values(self):
-        w = RadialWeight(2, lambda t: 0.0, name="zero")
+        w = RadialWeight(2, lambda t: 0.0)
         sc = lehto_divergence_scan(w, 0.0, 0.5, self.CUTS[:4])
         assert sc.classification == "inconclusive"
         assert all(v == math.inf for v in sc.values)
