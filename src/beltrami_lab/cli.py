@@ -54,9 +54,12 @@ from .radial import (
 )
 from .solver import (
     SolveConfig,
+    SolveResult,
     check_k_schedule,
+    observed_ratio,
     residual_report,
     solve_principal,
+    thread_count,
     truncation_scheme,
 )
 from .verify import HolderConfig, holder_scan
@@ -161,10 +164,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", type=float, default=0.5)
 
     def solver(p):
+        defaults = SolveConfig()
         p.add_argument("--grid", type=int, default=512, dest="grid_n")
         p.add_argument("--half-width", type=float, default=2.0)
-        p.add_argument("--tol", type=float, default=1e-10, dest="fix_tol")
-        p.add_argument("--max-iter", type=int, default=200)
+        p.add_argument("--tol", type=float, default=defaults.fix_tol, dest="fix_tol",
+                       help="relative bound on the remaining iteration error of h")
+        p.add_argument("--max-iter", type=int, default=defaults.max_iter)
 
     weight_help = "auto, none, or one of: " + ", ".join(sorted(_WEIGHTS))
 
@@ -412,7 +417,8 @@ def _write_json(path: str, doc: dict, non_finite: dict | None = None) -> None:
         fh.write("\n")
 
 
-def _write_summary(cfg, results: dict, checks: dict, error: str | None = None) -> str:
+def _write_summary(cfg, results: dict, checks: dict, error: str | None = None,
+                   metrics: dict | None = None) -> str:
     import scipy
 
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -431,6 +437,8 @@ def _write_summary(cfg, results: dict, checks: dict, error: str | None = None) -
             "checks_run": sorted(checks),
         },
     }
+    if metrics:
+        doc["metrics"] = metrics
     if error is not None:
         doc["error"] = error
     _write_json(path, doc)
@@ -441,18 +449,30 @@ def _check(passed, value, threshold=None) -> dict:
     return {"passed": bool(passed), "value": value, "threshold": threshold}
 
 
+def _solve_metrics(res: SolveResult) -> dict:
+    """The fixed point's update history, its observed contraction ratio
+    next to the sup |mu| that bounds it, and its torus side."""
+    return {
+        "updates": list(res.updates),
+        "observed_ratio": observed_ratio(res.updates),
+        "sup_mu": float(np.max(np.abs(res.mu_field.data))),
+        "torus_side": res.torus_side,
+    }
+
+
 def _cmd_solve(cfg, spec: MuSpec, solve_cfg: SolveConfig) -> tuple[dict, dict]:
     res = solve_principal(spec, solve_cfg)
     rep = residual_report(res)
-    sup_mu = float(np.max(np.abs(res.mu_field.data)))
+    metrics = {**_solve_metrics(res), "threads": thread_count()}
+    sup_mu = metrics["sup_mu"]
     if cfg.residual_tol is not None:
         threshold = cfg.residual_tol
     else:
         k_eff = (1.0 + sup_mu) / (1.0 - sup_mu)
-        threshold = max(10.0 * solve_cfg.fix_tol, k_eff * res.f.grid.dx)
+        threshold = k_eff * res.f.grid.dx
     results = {
         "iterations": res.iterations,
-        "final_update_l2": res.final_delta,
+        "final_update_l2": res.updates[-1],
         "residual_linf": rep.linf,
         "residual_l2": rep.l2,
         "worst_point": [rep.worst_point.real, rep.worst_point.imag],
@@ -464,6 +484,7 @@ def _cmd_solve(cfg, spec: MuSpec, solve_cfg: SolveConfig) -> tuple[dict, dict]:
     if cfg.dump_fields:
         dump_field(res.f, os.path.join(cfg.out_dir, "f.cfld"))
         dump_field(res.mu_field, os.path.join(cfg.out_dir, "mu.cfld"))
+    results["metrics"] = metrics
     return results, checks
 
 
@@ -498,6 +519,8 @@ def _cmd_truncate(cfg, spec: MuSpec, solve_cfg: SolveConfig,
     if run.bound_ok is not None:
         checks["kip_below_bound"] = _check(all(run.bound_ok), max(run.KIp_integrals),
                                            run.bound_M)
+    results["metrics"] = {"levels": [_solve_metrics(res) for res in run.per_k],
+                          "threads": thread_count()}
     return results, checks
 
 
@@ -627,7 +650,7 @@ def run_command(cfg: argparse.Namespace) -> int:
             _write_summary(cfg, {}, {}, error=error)
         print(f"error: {error}", file=sys.stderr)
         return 2
-    path = _write_summary(cfg, results, checks)
+    path = _write_summary(cfg, results, checks, metrics=results.pop("metrics", None))
     failed = [name for name, c in checks.items() if not c.get("passed", True)]
     for name, c in sorted(checks.items()):
         status = "PASS" if c.get("passed", True) else "FAIL"

@@ -61,6 +61,7 @@ __all__ = [
     "TruncationRun",
     "check_k_schedule",
     "thread_count",
+    "observed_ratio",
     "cauchy_transform",
     "beurling_transform",
     "solve_principal",
@@ -100,7 +101,8 @@ class ContractionError(ValueError):
 
 
 class SolveNonConvergence(RuntimeError):
-    """Fixed-point iteration hit max_iter; carries the last iterate."""
+    """Fixed-point iteration hit max_iter; carries the last iterate and its
+    L2 update."""
 
     def __init__(self, iterations: int, last_delta: float, partial: ComplexField):
         super().__init__(
@@ -278,7 +280,7 @@ def _polynomial_kernel(terms, x, y, cell_area: float, x_out, y_out):
 @dataclass(frozen=True)
 class SolveConfig:
     grid: GridSpec = field(default_factory=lambda: GridSpec.square(512, 2.0))
-    fix_tol: float = 1e-10
+    fix_tol: float = 1e-6
     max_iter: int = 200
 
     def __post_init__(self) -> None:
@@ -301,12 +303,17 @@ class SolveResult:
     f_z: ComplexField
     f_zbar: ComplexField
     residual_linf_on_disk: float
-    iterations: int
     mu_used: MuSpec
     mu_field: ComplexField
     mean_term: complex
-    final_delta: float
+    # the cell-weighted L2 norm of each fixed-point update, in order
+    updates: tuple
+    torus_side: int
     solve_seconds: float
+
+    @property
+    def iterations(self) -> int:
+        return len(self.updates)
 
 
 @dataclass(frozen=True)
@@ -358,11 +365,24 @@ def _support_box(data: np.ndarray) -> tuple:
     return slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
 
 
+def observed_ratio(updates: Sequence[float]) -> float | None:
+    """Observed contraction ratio of a fixed point from its update norms
+    d_1 .. d_n: the larger of the last two ratios d_n/d_(n-1) and
+    d_(n-1)/d_(n-2), or None before the third update."""
+    if len(updates) < 3:
+        return None
+    d2, d1, d0 = updates[-3:]
+    return max(d0 / d1, d1 / d2)
+
+
 def _fixed_point(mu: np.ndarray, x: np.ndarray, y: np.ndarray, grid: GridSpec,
                  cfg: SolveConfig):
     """Neumann iteration h <- mu S(h) + mu on a box holding supp mu, with x
-    and y the box's node abscissas and ordinates.  Returns (h, iterations,
-    last update, converged).
+    and y the box's node abscissas and ordinates.  Returns (h, the L2 norms
+    of the updates, torus side, converged).
+
+    It stops once the update d and the observed ratio q < 1 bound the
+    remaining error of h, d q / (1 - q), by fix_tol ||h||, or once d = 0.
 
     S runs on a square torus of side about TORUS_FACTOR times the box side,
     plus the three lattice terms of the torus kernel (see the module
@@ -375,27 +395,31 @@ def _fixed_point(mu: np.ndarray, x: np.ndarray, y: np.ndarray, grid: GridSpec,
     remainder = _polynomial_kernel(terms, x, y, grid.cell_area, x, y)
     weight = math.sqrt(grid.cell_area)
     h = mu.copy()
-    delta = math.inf
-    iterations = 0
-    for iterations in range(1, cfg.max_iter + 1):
+    updates: list[float] = []
+    for _ in range(cfg.max_iter):
         s_h = _apply_multiplier(buf, h, grid, "beurling", overwrite=False)
         s_h += remainder(h)
         h_new = mu * s_h + mu
         delta = float(np.linalg.norm(h_new - h)) * weight
+        updates.append(delta)
         h = h_new
-        if delta <= cfg.fix_tol:
-            return h, iterations, delta, True
-    return h, iterations, delta, False
+        q = observed_ratio(updates)
+        if delta == 0.0 or (q is not None and q < 1.0 and delta * q / (1.0 - q)
+                            <= cfg.fix_tol * float(np.linalg.norm(h)) * weight):
+            return h, tuple(updates), side, True
+    return h, tuple(updates), side, False
 
 
 def solve_principal(mu: MuSpec, cfg: SolveConfig | None = None) -> SolveResult:
     """Principal solution of f_zbar = mu f_z, normalized to look like the
     identity far from the support.
 
-    Stops when the discrete L2 norm of the iterate update drops below
-    fix_tol.  The reported residual is the sup of |f_zbar - mu f_z| from
-    finite-difference derivatives on {|z| <= 0.95}, off two-cell bands
-    around the dilatation's jump circles.
+    The Neumann iteration stops once its a posteriori bound on the
+    remaining error of h, d q / (1 - q) from the last update d and the
+    observed contraction ratio q (observed_ratio), is at most fix_tol
+    times ||h||, both in the cell-weighted L2 norm.  The reported residual
+    is the sup of |f_zbar - mu f_z| from finite-difference derivatives on
+    {|z| <= 0.95}, off two-cell bands around the dilatation's jump circles.
     """
     cfg = cfg or SolveConfig()
     grid = cfg.grid
@@ -406,13 +430,13 @@ def solve_principal(mu: MuSpec, cfg: SolveConfig | None = None) -> SolveResult:
         raise ContractionError(f"ess-sup |mu| = {sup:.12f} is not below 1")
     box = _support_box(mu_data)
     h = np.zeros_like(mu_data)
-    h[box], iterations, delta, converged = _fixed_point(
+    h[box], updates, side, converged = _fixed_point(
         mu_data[box], grid.xs()[box[1]], grid.ys()[box[0]], grid, cfg
     )
     h_field = ComplexField(grid, h)
     f = ComplexField(grid, grid.zz() + cauchy_transform(h_field).data)
     if not converged:
-        raise SolveNonConvergence(iterations, delta, f)
+        raise SolveNonConvergence(len(updates), updates[-1], f)
     f_z, f_zbar = wirtinger_derivatives(f)
     keep = _retained_mask(grid, mu)
     res = np.abs(f_zbar.data - mu_data * f_z.data)
@@ -422,11 +446,11 @@ def solve_principal(mu: MuSpec, cfg: SolveConfig | None = None) -> SolveResult:
         f_z=f_z,
         f_zbar=f_zbar,
         residual_linf_on_disk=linf,
-        iterations=iterations,
         mu_used=mu,
         mu_field=ComplexField(grid, mu_data),
         mean_term=_torus_mean(h_field),
-        final_delta=delta,
+        updates=updates,
+        torus_side=side,
         solve_seconds=time.perf_counter() - t0,
     )
 
@@ -512,10 +536,10 @@ def truncation_scheme(
 
     Per level k the dilatation is zeroed where its maximal dilatation
     exceeds k, solved, and the order-p inner-dilatation integral recorded;
-    successive solutions are compared in sup norm on {|z| <= 0.9}.  The
-    iteration budget is raised per level to the contraction estimate
-    ln(fix_tol)/ln(ess-sup |mu_k|) plus margin, since higher caps contract
-    more slowly.
+    successive solutions are compared in sup norm on {|z| <= 0.9}.  Higher
+    caps contract more slowly, so each level's iteration budget is raised
+    to the a priori count ceil(ln(fix_tol (1 - b)) / ln b) for
+    b = ess-sup |mu_k|, and never set below max_iter.
     """
     ks = check_k_schedule(k_schedule)
     check_order_p(order_p)
@@ -524,11 +548,11 @@ def truncation_scheme(
     for k in ks:
         spec_k = truncate_mu(mu, k)
         bound = spec_k.sup_abs_bound()
-        if bound < 1.0 and bound > 0.0:
-            estimate = int(math.log(cfg.fix_tol) / math.log(bound) * 1.25) + 50
-        else:
-            estimate = cfg.max_iter
-        cfg_k = replace(cfg, max_iter=max(cfg.max_iter, estimate))
+        budget = cfg.max_iter
+        if 0.0 < bound < 1.0:
+            budget = max(budget, math.ceil(math.log(cfg.fix_tol * (1.0 - bound))
+                                           / math.log(bound)))
+        cfg_k = replace(cfg, max_iter=budget)
         per_k.append(solve_principal(spec_k, cfg_k))
     dists = tuple(
         sup_distance(a.f, b.f) for a, b in zip(per_k, per_k[1:])

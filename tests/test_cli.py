@@ -19,6 +19,7 @@ from beltrami_lab.cli import (
 )
 from beltrami_lab.numerics import ComplexField, GridSpec
 from beltrami_lab.radial import Example2Profile
+from beltrami_lab.solver import SolveConfig
 
 
 def _read_json(path):
@@ -36,6 +37,11 @@ class TestParseConfig:
         assert cfg.out_dir == "out"
         assert cfg.dump_fields is True
         assert cfg.residual_tol is None
+        # the solver defaults live in SolveConfig alone
+        for cmd in ("solve", "truncate"):
+            cfg = parse_config([cmd])
+            assert cfg.fix_tol == SolveConfig().fix_tol
+            assert cfg.max_iter == SolveConfig().max_iter
 
     def test_all_errors_collected(self):
         with pytest.raises(ConfigError) as exc:
@@ -305,6 +311,18 @@ class TestSolveCommand:
         doc = _read_json(os.path.join(out, "solve.summary.json"))
         assert doc["results"]["sup_mu_sampled"] <= 3.0 / 5.0 + 1e-12
 
+    def test_metrics_block_beside_results(self, tmp_path):
+        out = str(tmp_path / "run")
+        assert main(["solve", "--mu", "const:0.6", "--grid", "64", "--out", out,
+                     "--no-dump"]) == 0
+        doc = _read_json(os.path.join(out, "solve.summary.json"))
+        res, met = doc["results"], doc["metrics"]
+        assert len(met["updates"]) == res["iterations"]
+        assert met["updates"][-1] == res["final_update_l2"]
+        assert 0.0 < met["observed_ratio"] < met["sup_mu"] == res["sup_mu_sampled"]
+        assert met["torus_side"] >= 1 and met["threads"] >= 1
+        assert not set(met) & set(res)
+
     def test_out_dir_collision_exits_2(self, tmp_path, capsys):
         blocker = tmp_path / "occupied"
         blocker.write_text("a file, not a directory")
@@ -331,6 +349,9 @@ class TestTruncateCommand:
         lines = open(os.path.join(out, "truncate.csv")).read().strip().split("\n")
         assert lines[0].startswith("k,iterations,residual_linf,kip_integral")
         assert len(lines) == 3
+        levels = doc["metrics"]["levels"]
+        assert [len(m["updates"]) for m in levels] == [
+            int(line.split(",")[1]) for line in lines[1:]]
 
     def test_bound_none_skips_check(self, tmp_path):
         out = str(tmp_path / "run")
@@ -488,6 +509,7 @@ class TestReportCommand:
         doc = _read_json(os.path.join(out, "report.json"))
         assert "solve.residual_below_tol" in doc["checks"]
         assert "holder.products_bounded" in doc["checks"]
+        assert "updates" not in json.dumps(doc)
         merged = _read_json(os.path.join(out, "report.summary.json"))
         assert merged["results"]["merged_commands"] == ["holder", "solve"]
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from beltrami_lab.solver import (
     beurling_transform,
     cauchy_transform,
     grid_kip_integral,
+    observed_ratio,
     residual_report,
     solve_principal,
     sup_distance,
@@ -41,6 +43,20 @@ def _disk_indicator_averaged(grid, sub=16):
         for oy in offsets:
             acc += np.abs(zz + ox * grid.dx + 1j * oy * grid.dy) < 1.0
     return ComplexField(grid, (acc / sub**2).astype(complex))
+
+
+def _spy_iterates(monkeypatch):
+    """A list that collects the h of every fixed point the solver runs."""
+    seen = []
+    run = solver._fixed_point
+
+    def spy(*args):
+        out = run(*args)
+        seen.append(out[0])
+        return out
+
+    monkeypatch.setattr(solver, "_fixed_point", spy)
+    return seen
 
 
 def _near(field, z0):
@@ -133,6 +149,8 @@ class TestSolvePrincipal:
         res = solve_principal(MuSpec.constant(0.0), cfg)
         zz = cfg.grid.zz()
         assert res.iterations == 1
+        assert res.updates == (0.0,)
+        assert observed_ratio(res.updates) is None
         assert np.array_equal(res.f.data, zz)
         assert res.residual_linf_on_disk < 1e-10
 
@@ -179,7 +197,30 @@ class TestSolvePrincipal:
             solve_principal(MuSpec.constant(0.6), cfg)
         assert err.value.iterations == 3
         assert err.value.partial is not None
-        assert err.value.last_delta > 0.0
+        # the third update of the same iteration run to its stop
+        full = solve_principal(MuSpec.constant(0.6), replace(cfg, max_iter=200))
+        assert err.value.last_delta == full.updates[2] > 0.0
+
+    @pytest.mark.parametrize("spec", [
+        truncate_mu(MuSpec.example4(), 64.0),
+        truncate_mu(MuSpec.example3(0.5), 10.0),
+        MuSpec.constant(0.9),
+    ], ids=["example4-k64", "example3-k10", "const-0.9"])
+    def test_stop_bounds_remaining_error(self, spec, monkeypatch):
+        # the stopped h lies within fix_tol ||h|| of the fixed point, taken
+        # as the h iterated to a relative bound of 1e-13
+        seen = _spy_iterates(monkeypatch)
+        cfg = SolveConfig(grid=GridSpec.square(256, 2.0))
+        solve_principal(spec, cfg)
+        solve_principal(spec, replace(cfg, fix_tol=1e-13, max_iter=1000))
+        stopped, limit = seen
+        assert np.linalg.norm(stopped - limit) <= cfg.fix_tol * np.linalg.norm(limit)
+
+    @pytest.mark.parametrize("k", [16.0, 64.0])
+    def test_observed_ratio_below_sup_bound(self, k):
+        spec = truncate_mu(MuSpec.example4(), k)
+        res = solve_principal(spec, SolveConfig(grid=GridSpec.square(128, 2.0)))
+        assert 0.0 < observed_ratio(res.updates) < spec.sup_abs_bound()
 
     def test_grid_must_cover_padded_disk(self):
         with pytest.raises(ValueError):
@@ -210,15 +251,17 @@ class TestSolvePrincipal:
             val = 0.6 * np.exp(-np.abs(zz - (0.35 + 0.2j)) ** 2 / 0.08)
             return np.where(np.abs(zz) < 0.95, val, 0.0)
 
+        # both sides are iterated far below the 1e-6 thresholds, so that
+        # iteration error cannot decide either comparison
         spec = MuSpec.from_grid(ComplexField(g, bump(g)))
-        cfg = SolveConfig(grid=g)
+        cfg = SolveConfig(grid=g, fix_tol=1e-10)
         mu = bump(wide)
         h = mu.copy()
         for _ in range(cfg.max_iter):
             h_new = mu * beurling_transform(ComplexField(wide, h)).data + mu
             delta = np.linalg.norm(h_new - h) * g.dx
             h = h_new
-            if delta <= cfg.fix_tol:
+            if delta <= 1e-10:
                 break
         h_ref = ComplexField(g, h[pad:pad + g.ny, pad:pad + g.nx])
         f_ref = g.zz() + cauchy_transform(h_ref).data
@@ -373,6 +416,26 @@ class TestTruncationScheme:
             bound_M=5.0 * math.pi,
         )
         assert run.bound_ok == (True, True)
+
+    def test_a_priori_budget_suffices(self, monkeypatch):
+        # with max_iter = 1 each level runs on its a priori budget alone,
+        # ceil(ln(fix_tol (1 - b)) / ln b) for b = ess-sup |mu_k|, and
+        # converges within it
+        budgets = []
+        solve = solver.solve_principal
+
+        def spy(spec, cfg):
+            budgets.append(cfg.max_iter)
+            return solve(spec, cfg)
+
+        monkeypatch.setattr(solver, "solve_principal", spy)
+        ks = (64.0, 256.0, 1024.0, 4096.0)
+        cfg = SolveConfig(grid=GridSpec.square(128, 2.0), max_iter=1)
+        run = truncation_scheme(MuSpec.example4(), ks, 1.5, cfg)
+        for k, budget, res in zip(ks, budgets, run.per_k, strict=True):
+            b = truncate_mu(MuSpec.example4(), k).sup_abs_bound()
+            assert budget == math.ceil(math.log(cfg.fix_tol * (1.0 - b)) / math.log(b))
+            assert 1 < res.iterations <= budget
 
     def test_bad_schedule(self):
         cfg = SolveConfig(grid=GridSpec.square(64, 2.0))
