@@ -57,7 +57,6 @@ from .solver import (
     SolveResult,
     check_k_schedule,
     observed_ratio,
-    residual_report,
     solve_principal,
     thread_count,
     truncation_scheme,
@@ -77,7 +76,9 @@ _WEIGHTS = {
     "power": lambda n, alpha: power_weight(n),
     "example1": lambda n, alpha: example1_weight(n),
     **{
-        f"{name}-image": (lambda n, alpha, fam=fam: fam.image_weight(alpha))
+        f"{name}-image": (
+            lambda n, alpha, fam=fam: fam.image_weight(fam.alpha_of(alpha))
+        )
         for name, fam in FAMILIES.items()
     },
 }
@@ -283,7 +284,7 @@ def _weight(name: str, n: int, alpha: float, family: str | None = None):
     or 'auto' (the image weight of a table family, else no weight)."""
     if family is not None and name in ("auto", "none"):
         auto = name == "auto" and family in FAMILIES
-        return FAMILIES[family].image_weight(alpha) if auto else None
+        return _WEIGHTS[f"{family}-image"](n, alpha) if auto else None
     if name not in _WEIGHTS:
         raise ValueError(f"unknown weight {name!r}")
     return _WEIGHTS[name](n, alpha)
@@ -462,7 +463,7 @@ def _solve_metrics(res: SolveResult) -> dict:
 
 def _cmd_solve(cfg, spec: MuSpec, solve_cfg: SolveConfig) -> tuple[dict, dict]:
     res = solve_principal(spec, solve_cfg)
-    rep = residual_report(res)
+    rep = res.residual
     metrics = {**_solve_metrics(res), "threads": thread_count()}
     sup_mu = metrics["sup_mu"]
     if cfg.residual_tol is not None:
@@ -497,7 +498,7 @@ def _cmd_truncate(cfg, spec: MuSpec, solve_cfg: SolveConfig,
         rows.append((
             k,
             res.iterations,
-            res.residual_linf_on_disk,
+            res.residual.linf,
             run.KIp_integrals[i],
             run.bound_ok[i] if run.bound_ok else "",
             run.pairwise_sup_dist[i - 1] if i > 0 else "",

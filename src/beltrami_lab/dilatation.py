@@ -1,14 +1,15 @@
 """Complex dilatation fields, truncation, and dilatation functionals.
 
 The family table ``FAMILIES`` holds the degenerate dilatation fields that
-have closed-form solutions.  Each is supported in the unit disk (zero
-outside), radial in modulus with an e^{2i theta} phase, and loses
-ellipticity (|mu| -> 1) on an onset circle.  Its record (``Family``) holds
-mu, the radius of the disk that the cap at level k empties (k = inf gives
-the onset circle), the circles where |mu| jumps, the closed-form solution
-of the capped equation and its inverse, the image-side weight, and the
-rule for the parameter alpha.  MuSpec, named_map and the command line look
-families up in the table, so a new family is one entry:
+have closed-form solutions.  Each is a radial stretch f(z) = (z/|z|) g(|z|)
+of the unit disk with the dilatation mu = (z^2/|z|^2) m(|z|), zero inside
+an onset circle where |mu| climbs to 1 and zero outside the unit disk.  An
+entry (``Family``) gives m, g, g^-1, the radius of the disk that the cap at
+level k empties, the image-side weight and the rule for the parameter
+alpha; the field, the solution of the capped equation, its inverse and the
+jump circles of |mu| are derived from these once, for every entry.  MuSpec,
+named_map and the command line look families up in the table, so a new
+radial family is one entry:
 
 * ``example3``: |mu| climbs to 1 at the circle |z| = 1/2, parametrized by
   0 < alpha < 2; the maximal dilatation is K(z) = 2|z| / (alpha (2|z|-1)).
@@ -16,9 +17,9 @@ families up in the table, so a new family is one entry:
 
 Truncation at level k zeroes mu wherever K exceeds k, which for these
 families empties a concentric disk; the resulting fields are uniformly
-elliptic (ess sup |mu_k| <= (k-1)/(k+1)) and feed the solver.  The
-closed-form solutions and their inverses are grid-free oracles for
-everything the solver produces.
+elliptic (ess sup |mu_k| <= (k-1)/(k+1)) and feed the solver.  Inside the
+emptied disk the capped solution is linear.  The closed-form solutions and
+their inverses are grid-free oracles for everything the solver produces.
 """
 
 from __future__ import annotations
@@ -45,8 +46,6 @@ from .radial import (
 )
 
 __all__ = [
-    "mu_example3",
-    "mu_example4",
     "MuSpec",
     "K_mu",
     "check_level",
@@ -60,11 +59,6 @@ __all__ = [
     "build_dilatation_report",
     "solution_example3",
     "solution_example4",
-    "inverse_example3",
-    "inverse_example4",
-    "example3_truncation_radius",
-    "example4_truncation_radius",
-    "example3_image_weight",
     "Family",
     "FAMILIES",
     "named_map",
@@ -101,49 +95,6 @@ def _radial_branches(z, cut, outer, inner=None, name="map", open_disk=False):
         out[~far] = inner(zz[~far])
     out[far] = outer(zz[far], r[far])
     return out if out.shape else complex(out)
-
-
-def mu_example3(z, alpha: float):
-    """Registry example 3 dilatation on the open unit disk.
-
-    Zero for |z| <= 1/2; on the annulus the modulus is
-    (2r - alpha(2r-1)) / (2r + alpha(2r-1)), which tends to 1 at r = 1/2.
-    """
-    _check_alpha3(alpha)
-
-    def outer(z, r):
-        t = alpha * (2.0 * r - 1.0)
-        return (z * z) / (r * r) * ((2.0 * r - t) / (2.0 * r + t))
-
-    return _radial_branches(z, 0.5, outer, name="mu_example3", open_disk=True)
-
-
-def mu_example4(z):
-    """Registry example 4 dilatation: -e^{2i theta} ln r / (1 + ln r) on
-    e^{-1/2} < r < 1, zero inside."""
-
-    def outer(z, r):
-        lr = np.log(r)
-        return -(z * z) / (r * r) * (lr / (1.0 + lr))
-
-    return _radial_branches(z, math.exp(-0.5), outer, name="mu_example4", open_disk=True)
-
-
-def example3_truncation_radius(alpha: float, k: float) -> float:
-    """Radius below which truncation at level k zeroes example 3 (clipped
-    to 1); k = inf gives the onset circle 1/2."""
-    if math.isinf(k):
-        return 0.5
-    if k * alpha <= 1.0:
-        return 1.0
-    return min(1.0, k * alpha / (2.0 * (k * alpha - 1.0)))
-
-
-def example4_truncation_radius(k: float) -> float:
-    """Radius below which truncation at level k zeroes example 4; k = inf
-    gives the onset circle e^{-1/2}."""
-    check_level(k)
-    return math.exp(-0.5) if math.isinf(k) else math.exp((1.0 - k) / (2.0 * k))
 
 
 @dataclass(frozen=True)
@@ -413,96 +364,27 @@ def build_dilatation_report(
 
 
 # ---------------------------------------------------------------------------
-# closed-form solutions of the table families
-
-
-def solution_example3(z, alpha: float, k: float = math.inf):
-    """Closed-form normalized solution for example 3 (optionally truncated
-    at level k): the radial stretch (z/|z|) (2|z|-1)^(1/alpha) outside the
-    truncation radius, a linear map inside (the limit k = inf collapses the
-    inner disk to 0)."""
-    _check_alpha3(alpha)
-    r_t = example3_truncation_radius(alpha, k)
-    if math.isinf(k):
-        c_in = 0.0
-    elif r_t >= 1.0:
-        c_in = 1.0
-    else:
-        c_in = (1.0 / (k * alpha - 1.0)) ** (1.0 / alpha) / r_t
-    return _radial_branches(
-        z, r_t, lambda z, r: z / r * (2.0 * r - 1.0) ** (1.0 / alpha),
-        lambda z: c_in * z, "solution_example3",
-    )
-
-
-def solution_example4(z, k: float = math.inf):
-    """Closed-form normalized solution for example 4 (optionally truncated):
-    (z/|z|) (2 ln|z| + 1)^(1/2) outside the truncation radius, linear inside."""
-    r_t = example4_truncation_radius(k)
-    c_in = 0.0 if math.isinf(k) else math.exp((k - 1.0) / (2.0 * k)) / math.sqrt(k)
-    return _radial_branches(
-        z, r_t, lambda z, r: z / r * np.sqrt(2.0 * np.log(r) + 1.0),
-        lambda z: c_in * z, "solution_example4",
-    )
-
-
-def inverse_example3(y, alpha: float, k: float = math.inf):
-    """Inverse of the example-3 solution: y (|y|^alpha + 1) / (2 |y|) on the
-    outer branch, linear on the inner branch (k finite)."""
-    _check_alpha3(alpha)
-    if math.isinf(k) and np.any(np.abs(_as_complex(y)) == 0.0):
-        raise ValueError("0 is not in the image of the limit map")
-    s_t, c_in = 0.0, math.nan
-    if not math.isinf(k):
-        r_t = example3_truncation_radius(alpha, k)
-        if r_t >= 1.0:  # the cap leaves no annulus: the map is the identity
-            s_t, c_in = math.inf, 1.0
-        else:
-            s_t = (1.0 / (k * alpha - 1.0)) ** (1.0 / alpha)
-            c_in = s_t / r_t
-    return _radial_branches(
-        y, s_t, lambda y, s: y * (s**alpha + 1.0) / (2.0 * s),
-        lambda y: y / c_in, "inverse_example3",
-    )
-
-
-def inverse_example4(y, k: float = math.inf):
-    """Inverse of the example-4 solution: (y/|y|) e^{(|y|^2 - 1)/2} on the
-    outer branch, linear on the inner branch (k finite)."""
-    if math.isinf(k) and np.any(np.abs(_as_complex(y)) == 0.0):
-        raise ValueError("0 is not in the image of the limit map")
-    s_t = 0.0 if math.isinf(k) else 1.0 / math.sqrt(k)
-    c_in = math.exp((k - 1.0) / (2.0 * k)) / math.sqrt(k)  # unused for k = inf
-    return _radial_branches(
-        y, s_t, lambda y, s: y / s * np.exp((s * s - 1.0) / 2.0),
-        lambda y: y / c_in, "inverse_example4",
-    )
-
-
-def example3_image_weight(alpha: float) -> RadialWeight:
-    """Majorant weight for the inverse dilatation of truncated example 3:
-    q(s) = (s^alpha + 1) / (alpha s^alpha); integrable in degree q iff
-    alpha < 2/q."""
-    _check_alpha3(alpha)
-
-    def q(s: float) -> float:
-        if s <= 0.0:
-            return math.inf
-        return (s**alpha + 1.0) / (alpha * s**alpha)
-
-    return RadialWeight(2, q)
+# the family table
 
 
 @dataclass(frozen=True)
 class Family:
-    """One entry of the family table.  Every callable takes alpha, which
-    a family without one (check_alpha None) ignores."""
+    """One entry of the family table: a radial stretch f(z) = (z/|z|) g(|z|)
+    and its dilatation mu = (z^2/|z|^2) m(|z|), where m = (r g' - g) /
+    (r g' + g) between the onset circle (g = 0, m = 1) and the unit circle,
+    and mu = 0 inside the onset circle.
 
-    mu: Callable  # (z, alpha): the field on the open unit disk
-    radius: Callable  # (alpha, k): radius of the disk the cap at k empties
+    The entry's callables take alpha already checked (a family without one,
+    check_alpha None, ignores it).  From m, g, g^-1 and the cap radius the
+    methods derive the field, the solution of the equation capped at level
+    k, its inverse and the circles where |mu| jumps; they check alpha and k.
+    """
+
+    modulus: Callable  # (r, alpha) -> m(r), the field's modulus off the onset disk
+    stretch: Callable  # (r, alpha) -> g(r), the solution's radial profile
+    unstretch: Callable  # (s, alpha) -> g^-1(s)
+    cap_radius: Callable  # (alpha, k) -> radius of the disk the cap at k empties
     rim_jump: bool  # |mu| also jumps at the unit circle
-    solution: Callable  # (z, alpha, k): normalized solution of the capped equation
-    inverse: Callable  # (y, alpha, k): inverse of that solution
     image_weight: Callable  # alpha -> RadialWeight majorizing the inverse's dilatation
     check_alpha: Callable | None = None  # raises ValueError for a bad alpha
 
@@ -512,6 +394,53 @@ class Family:
             return None
         self.check_alpha(alpha)
         return alpha
+
+    def radius(self, alpha, k: float) -> float:
+        """Radius of the disk that the cap at level k empties, clipped to 1;
+        k = inf gives the onset circle."""
+        return min(1.0, self.cap_radius(self.alpha_of(alpha), check_level(k)))
+
+    def mu(self, z, alpha):
+        """The field on the open unit disk."""
+        a = self.alpha_of(alpha)
+        return _radial_branches(
+            z, self.radius(a, math.inf),
+            lambda z, r: (z * z) / (r * r) * self.modulus(r, a), name="mu", open_disk=True,
+        )
+
+    def _cap(self, alpha, k: float) -> tuple:
+        """(r_t, g(r_t), c) at level k: the cap radius, its image and the
+        slope of the linear map inside it.  c = 0 for k = inf; once the cap
+        empties the disk, r_t = g(r_t) = inf and c = 1."""
+        r_t = self.radius(alpha, k)
+        if math.isinf(k):
+            return r_t, 0.0, 0.0
+        if r_t >= 1.0:
+            return math.inf, math.inf, 1.0
+        s_t = self.stretch(r_t, alpha)
+        return r_t, s_t, s_t / r_t
+
+    def solution(self, z, alpha, k: float = math.inf):
+        """Normalized solution of the equation capped at level k, on the
+        closed unit disk: (z/|z|) g(|z|) outside the cap radius r_t and the
+        linear map (g(r_t)/r_t) z inside it, which is 0 for k = inf and the
+        identity once the cap empties the disk."""
+        a = self.alpha_of(alpha)
+        r_t, _, c = self._cap(a, k)
+        return _radial_branches(
+            z, r_t, lambda z, r: z / r * self.stretch(r, a), lambda z: c * z, "solution"
+        )
+
+    def inverse(self, y, alpha, k: float = math.inf):
+        """Inverse of the solution: (y/|y|) g^-1(|y|) outside g(r_t), linear
+        inside it; for k = inf, 0 (the image of the onset disk) is refused."""
+        a = self.alpha_of(alpha)
+        _, s_t, c = self._cap(a, k)
+        if math.isinf(k) and np.any(np.abs(_as_complex(y)) == 0.0):
+            raise ValueError("0 is not in the image of the limit map")
+        return _radial_branches(
+            y, s_t, lambda y, s: y / s * self.unstretch(s, a), lambda y: y / c, "inverse"
+        )
 
     def jump_radii(self, alpha, k: float = math.inf) -> tuple:
         """Circles where |mu| capped at k jumps: the edge of the emptied
@@ -524,24 +453,47 @@ class Family:
 
 
 FAMILIES = {
+    # K(z) = 2|z| / (alpha (2|z| - 1)) for 0 < alpha < 2: |mu| climbs to 1
+    # at |z| = 1/2 and drops to 0 across the unit circle
     "example3": Family(
-        mu=mu_example3,
-        radius=example3_truncation_radius,
+        modulus=lambda r, a: ((2.0 * r - a * (2.0 * r - 1.0))
+                              / (2.0 * r + a * (2.0 * r - 1.0))),
+        stretch=lambda r, a: (2.0 * r - 1.0) ** (1.0 / a),
+        unstretch=lambda s, a: (s**a + 1.0) / 2.0,
+        cap_radius=lambda a, k: (0.5 if math.isinf(k) else 1.0 if k * a <= 1.0
+                                 else k * a / (2.0 * (k * a - 1.0))),
         rim_jump=True,
-        solution=solution_example3,
-        inverse=inverse_example3,
-        image_weight=example3_image_weight,
+        # q(s) = (s^alpha + 1) / (alpha s^alpha), integrable in degree q iff
+        # alpha < 2/q
+        image_weight=lambda a: RadialWeight(
+            2, lambda s: (s**a + 1.0) / (a * s**a) if s > 0.0 else math.inf
+        ),
         check_alpha=_check_alpha3,
     ),
+    # K(z) = 1 / (1 + 2 ln|z|): |mu| climbs to 1 at |z| = e^{-1/2} and falls
+    # to 0 at the unit circle
     "example4": Family(
-        mu=lambda z, alpha: mu_example4(z),
-        radius=lambda alpha, k: example4_truncation_radius(k),
+        modulus=lambda r, a: -np.log(r) / (1.0 + np.log(r)),
+        stretch=lambda r, a: np.sqrt(2.0 * np.log(r) + 1.0),
+        unstretch=lambda s, a: np.exp((s * s - 1.0) / 2.0),
+        cap_radius=lambda a, k: (math.exp(-0.5) if math.isinf(k)
+                                 else math.exp((1.0 - k) / (2.0 * k))),
         rim_jump=False,
-        solution=lambda z, alpha, k: solution_example4(z, k),
-        inverse=lambda y, alpha, k: inverse_example4(y, k),
-        image_weight=lambda alpha: power_weight(2),  # q(s) = s^-2
+        image_weight=lambda a: power_weight(2),  # q(s) = s^-2
     ),
 }
+
+
+def solution_example3(z, alpha: float, k: float = math.inf):
+    """FAMILIES["example3"].solution: (z/|z|) (2|z| - 1)^(1/alpha) outside
+    the cap radius, linear inside."""
+    return FAMILIES["example3"].solution(z, alpha, k)
+
+
+def solution_example4(z, k: float = math.inf):
+    """FAMILIES["example4"].solution: (z/|z|) (2 ln|z| + 1)^(1/2) outside
+    the cap radius, linear inside."""
+    return FAMILIES["example4"].solution(z, None, k)
 
 
 def named_map(name: str, alpha: float | None = None, k: float | None = None,

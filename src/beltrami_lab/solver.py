@@ -88,6 +88,9 @@ DISK_SUBCELLS = 4
 G4_SQUARE_LATTICE = math.gamma(0.25) ** 8 / (960.0 * math.pi**2)
 # the fixed point's torus side over its support box side
 TORUS_FACTOR = 1.5
+# the smallest fix_tol: below it round-off keeps the stop rule from ever
+# holding, and the iteration runs out its whole budget
+FIX_TOL_FLOOR = 1e-13
 
 
 class PaddingError(ValueError):
@@ -291,10 +294,17 @@ class SolveConfig:
             raise ValueError("grid cells must be square (dx == dy)")
         if g.nx != g.ny:
             raise ValueError("grid must be square (nx == ny)")
-        if not (self.fix_tol > 0.0):
-            raise ValueError("fix_tol must be positive")
+        if not (self.fix_tol >= FIX_TOL_FLOOR):
+            raise ValueError(f"fix_tol must be at least {FIX_TOL_FLOOR:g} (round-off floor)")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
+
+
+@dataclass(frozen=True)
+class ResidualReport:
+    linf: float
+    l2: float
+    worst_point: complex
 
 
 @dataclass
@@ -302,8 +312,7 @@ class SolveResult:
     f: ComplexField
     f_z: ComplexField
     f_zbar: ComplexField
-    residual_linf_on_disk: float
-    mu_used: MuSpec
+    residual: ResidualReport
     mu_field: ComplexField
     mean_term: complex
     # the cell-weighted L2 norm of each fixed-point update, in order
@@ -314,13 +323,6 @@ class SolveResult:
     @property
     def iterations(self) -> int:
         return len(self.updates)
-
-
-@dataclass(frozen=True)
-class ResidualReport:
-    linf: float
-    l2: float
-    worst_point: complex
 
 
 def _subcell_points(grid: GridSpec, zz: np.ndarray, cells: np.ndarray, sub: int):
@@ -417,9 +419,9 @@ def solve_principal(mu: MuSpec, cfg: SolveConfig | None = None) -> SolveResult:
     The Neumann iteration stops once its a posteriori bound on the
     remaining error of h, d q / (1 - q) from the last update d and the
     observed contraction ratio q (observed_ratio), is at most fix_tol
-    times ||h||, both in the cell-weighted L2 norm.  The reported residual
-    is the sup of |f_zbar - mu f_z| from finite-difference derivatives on
-    {|z| <= 0.95}, off two-cell bands around the dilatation's jump circles.
+    times ||h||, both in the cell-weighted L2 norm.  The result carries the
+    residual f_zbar - mu f_z of the finite-difference derivatives (see
+    residual_report).
     """
     cfg = cfg or SolveConfig()
     grid = cfg.grid
@@ -438,15 +440,11 @@ def solve_principal(mu: MuSpec, cfg: SolveConfig | None = None) -> SolveResult:
     if not converged:
         raise SolveNonConvergence(len(updates), updates[-1], f)
     f_z, f_zbar = wirtinger_derivatives(f)
-    keep = _retained_mask(grid, mu)
-    res = np.abs(f_zbar.data - mu_data * f_z.data)
-    linf = float(res[keep].max()) if keep.any() else 0.0
     return SolveResult(
         f=f,
         f_z=f_z,
         f_zbar=f_zbar,
-        residual_linf_on_disk=linf,
-        mu_used=mu,
+        residual=residual_report(mu, mu_data, f_z, f_zbar),
         mu_field=ComplexField(grid, mu_data),
         mean_term=_torus_mean(h_field),
         updates=updates,
@@ -455,19 +453,21 @@ def solve_principal(mu: MuSpec, cfg: SolveConfig | None = None) -> SolveResult:
     )
 
 
-def residual_report(res: SolveResult) -> ResidualReport:
-    """Norms of f_zbar - mu f_z over the retained compact (see
-    solve_principal for the exclusion convention)."""
-    grid = res.f.grid
-    keep = _retained_mask(grid, res.mu_used)
-    r = np.abs(res.f_zbar.data - res.mu_field.data * res.f_z.data)
-    r = np.where(keep, r, 0.0)
-    idx = np.unravel_index(int(np.argmax(r)), r.shape)
+def residual_report(mu: MuSpec, mu_data: np.ndarray, f_z: ComplexField,
+                    f_zbar: ComplexField) -> ResidualReport:
+    """Norms of f_zbar - mu f_z, with mu_data the samples of mu, over the
+    retained compact: {|z| <= 0.95} off two-cell bands around the jump
+    circles of mu (finite differences are O(1) wrong across a jump)."""
+    grid = f_z.grid
+    keep = _retained_mask(grid, mu)
+    r = np.abs(f_zbar.data - mu_data * f_z.data)
     l2 = float(np.sqrt(np.sum(r[keep] ** 2) * grid.cell_area))
+    r[~keep] = 0.0
+    iy, ix = np.unravel_index(int(np.argmax(r)), r.shape)
     return ResidualReport(
-        linf=float(r[idx]),
+        linf=float(r[iy, ix]),
         l2=l2,
-        worst_point=complex(grid.zz()[idx]),
+        worst_point=complex(grid.xs()[ix] + 1j * grid.ys()[iy]),
     )
 
 

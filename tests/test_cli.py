@@ -136,6 +136,15 @@ class TestParseConfig:
         assert main(argv) == 2
         assert argv[-2] in capsys.readouterr().err
 
+    def test_image_weight_checks_alpha(self):
+        with pytest.raises(ConfigError, match="--weight"):
+            parse_config(["radial", "--profile", "numeric", "--weight", "example3-image",
+                          "--alpha", "2.5"])
+
+    def test_tol_below_round_off_floor_exits_2(self, capsys):
+        assert main(["solve", "--tol", "1e-14"]) == 2
+        assert "--tol" in capsys.readouterr().err
+
     def test_seed_and_out_propagate(self):
         cfg = parse_config(["holder", "--seed", "7", "--out", "elsewhere"])
         assert cfg.seed == 7

@@ -11,14 +11,7 @@ from beltrami_lab.dilatation import (
     L1Report,
     MuSpec,
     build_dilatation_report,
-    example3_image_weight,
-    example3_truncation_radius,
-    example4_truncation_radius,
-    inverse_example3,
-    inverse_example4,
     l1_norm,
-    mu_example3,
-    mu_example4,
     named_map,
     solution_example3,
     solution_example4,
@@ -28,37 +21,40 @@ from beltrami_lab.dilatation import (
 from beltrami_lab.numerics import ComplexField, GridSpec, wirtinger_at_point
 from beltrami_lab.radial import RadialWeight, example1_weight, power_weight, unit_weight
 
+E3 = FAMILIES["example3"]
+E4 = FAMILIES["example4"]
+
 
 class TestClosedFormDilatations:
     def test_maximal_dilatation_worked_values(self):
         # annulus field: K = 2r/(alpha (2r - 1)), so 6 at r = 0.75 for
         # alpha = 0.5; log field: K = 1/(1 + 2 ln r), so 2 at r = e^{-1/4}
         z = 0.75 * np.exp(0.3j)
-        assert K_mu(mu_example3(z, 0.5)) == pytest.approx(6.0, abs=1e-8)
+        assert K_mu(E3.mu(z, 0.5)) == pytest.approx(6.0, abs=1e-8)
         z = math.exp(-0.25) * np.exp(-1.1j)
-        assert K_mu(mu_example4(z)) == pytest.approx(2.0, abs=1e-8)
+        assert K_mu(E4.mu(z, None)) == pytest.approx(2.0, abs=1e-8)
 
     def test_fields_vanish_on_inner_region(self):
-        assert mu_example3(0.3 + 0.2j, 0.5) == 0.0
-        assert mu_example4(0.25j) == 0.0
+        assert E3.mu(0.3 + 0.2j, 0.5) == 0.0
+        assert E4.mu(0.25j, None) == 0.0
 
     def test_degenerate_toward_inner_circle(self):
         # both fields lose ellipticity at the inner edge of their annulus
-        assert abs(mu_example3(0.5001, 0.5)) > 0.999
-        assert abs(mu_example4(math.exp(-0.5) + 1e-5)) > 0.999
-        assert abs(mu_example4(0.99999)) < 1e-4
+        assert abs(E3.mu(0.5001, 0.5)) > 0.999
+        assert abs(E4.mu(math.exp(-0.5) + 1e-5, None)) > 0.999
+        assert abs(E4.mu(0.99999, None)) < 1e-4
 
     @pytest.mark.parametrize("bad", [1.0, 1.2 + 0.1j, -1.0])
     def test_outside_disk_rejected(self, bad):
         with pytest.raises(ValueError):
-            mu_example3(bad, 0.5)
+            E3.mu(bad, 0.5)
         with pytest.raises(ValueError):
-            mu_example4(bad)
+            E4.mu(bad, None)
 
     @pytest.mark.parametrize("alpha", [0.0, 2.0, -0.5, 2.5])
     def test_alpha_range(self, alpha):
         with pytest.raises(ValueError):
-            mu_example3(0.75, alpha)
+            E3.mu(0.75, alpha)
 
     def test_k_mu_values(self):
         assert K_mu(0.0) == pytest.approx(1.0)
@@ -70,18 +66,18 @@ class TestClosedFormDilatations:
 
 class TestTruncation:
     def test_annulus_truncation_radius(self):
-        assert example3_truncation_radius(0.5, 10.0) == pytest.approx(0.625, abs=1e-15)
+        assert E3.radius(0.5, 10.0) == pytest.approx(0.625, abs=1e-15)
         # cap too low to bite anywhere: the whole field is zeroed
-        assert example3_truncation_radius(0.5, 2.0) == 1.0
-        assert example3_truncation_radius(0.5, 1.0) == 1.0
+        assert E3.radius(0.5, 2.0) == 1.0
+        assert E3.radius(0.5, 1.0) == 1.0
 
     def test_log_truncation_radius(self):
-        assert example4_truncation_radius(1.0) == pytest.approx(1.0)
-        assert example4_truncation_radius(16.0) == pytest.approx(
+        assert E4.radius(None, 1.0) == pytest.approx(1.0)
+        assert E4.radius(None, 16.0) == pytest.approx(
             math.exp(-15.0 / 32.0), rel=1e-14
         )
         with pytest.raises(ValueError):
-            example4_truncation_radius(0.5)
+            E4.radius(None, 0.5)
 
     def test_cap_semantics_on_rings(self):
         spec = truncate_mu(MuSpec.example3(0.5), 10.0)
@@ -91,7 +87,7 @@ class TestTruncation:
         z_in = 0.60 * np.exp(0.7j)
         z_out = 0.70 * np.exp(0.7j)
         assert spec.mu(z_in) == 0.0
-        assert spec.mu(z_out) == mu_example3(z_out, 0.5)
+        assert spec.mu(z_out) == E3.mu(z_out, 0.5)
         assert abs(spec.mu(z_out)) <= thr + 1e-12
         assert spec.sup_abs_bound() <= thr + 1e-12
 
@@ -104,6 +100,24 @@ class TestTruncation:
     def test_truncation_composes_as_minimum(self, k1, k2):
         spec = truncate_mu(truncate_mu(MuSpec.example4(), k1), k2)
         assert spec.k_cap == min(k1, k2)
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_levels_below_one_rejected(self, name):
+        fam = FAMILIES[name]
+        for call in (
+            lambda: fam.radius(0.5, 0.5),
+            lambda: fam.solution(0.3, 0.5, 0.5),
+            lambda: fam.inverse(0.3, 0.5, 0.5),
+            lambda: fam.jump_radii(0.5, 0.5),
+            lambda: named_map(name, k=0.5),
+            lambda: MuSpec(kind=name, alpha=0.5, k_cap=0.5),
+        ):
+            with pytest.raises(ValueError):
+                call()
+        with pytest.raises(ValueError):
+            solution_example3(0.3, 0.5, 0.5)
+        with pytest.raises(ValueError):
+            solution_example4(0.3, 0.5)
 
     def test_jump_radii_reported(self):
         spec = truncate_mu(MuSpec.example3(0.5), 10.0)
@@ -142,14 +156,14 @@ class TestFiniteDifferenceConsistency:
         f = lambda z: solution_example3(z, 0.5)
         z0 = r * np.exp(1j * (0.4 + r))
         fz, fzb = wirtinger_at_point(f, z0)
-        assert fzb / fz == pytest.approx(mu_example3(z0, 0.5), abs=1e-6)
+        assert fzb / fz == pytest.approx(E3.mu(z0, 0.5), abs=1e-6)
 
     @pytest.mark.parametrize("r", [0.64, 0.72, 0.81, 0.9])
     def test_log_map_recovers_field(self, r):
         f = lambda z: solution_example4(z)
         z0 = r * np.exp(1j * (1.0 - r))
         fz, fzb = wirtinger_at_point(f, z0)
-        assert fzb / fz == pytest.approx(mu_example4(z0), abs=1e-6)
+        assert fzb / fz == pytest.approx(E4.mu(z0, None), abs=1e-6)
 
     def test_truncated_map_recovers_capped_field(self):
         k = 10.0
@@ -176,14 +190,6 @@ class TestClosedFormSolutions:
     def test_annulus_map_collapses_inner_disk(self):
         assert solution_example3(0.3 + 0.1j, 0.5) == 0.0
 
-    def test_truncated_annulus_map_linear_inside(self):
-        k = 10.0
-        r_t = example3_truncation_radius(0.5, k)
-        f_at_rt = solution_example3(r_t * 1.0000001, 0.5, k)
-        c = f_at_rt / (r_t * 1.0000001)
-        inner = solution_example3(0.3, 0.5, k)
-        assert inner == pytest.approx(0.3 * c, rel=1e-5)
-
     def test_log_map_worked_point(self):
         r = math.exp(-0.25)
         assert abs(solution_example4(r)) == pytest.approx(math.sqrt(0.5), rel=1e-12)
@@ -195,7 +201,7 @@ class TestClosedFormSolutions:
         th = rng.uniform(0.0, 2.0 * math.pi, size=40)
         z = r * np.exp(1j * th)
         w = solution_example3(z, 0.5, k)
-        back = inverse_example3(w, 0.5, k)
+        back = E3.inverse(w, 0.5, k)
         assert np.max(np.abs(back - z)) < 1e-10
 
     @pytest.mark.parametrize("k", [1.5, 16.0, 100.0])
@@ -205,13 +211,58 @@ class TestClosedFormSolutions:
         th = rng.uniform(0.0, 2.0 * math.pi, size=40)
         z = r * np.exp(1j * th)
         w = solution_example4(z, k)
-        back = inverse_example4(w, k)
+        back = E4.inverse(w, None, k)
         assert np.max(np.abs(back - z)) < 1e-10
 
     def test_untruncated_annulus_inverse_on_image(self):
         z = 0.8 * np.exp(0.2j)
         w = solution_example3(z, 0.5)
-        assert inverse_example3(w, 0.5) == pytest.approx(z, abs=1e-12)
+        assert E3.inverse(w, 0.5) == pytest.approx(z, abs=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_table_matches_hand_derived_forms(self, name):
+        # the maps the table derives from m, g, g^-1 and the cap radius
+        # against the same maps with every constant worked out by hand
+        rng = np.random.default_rng(5)
+        u, th = rng.uniform(0.0, 1.0, (2, 400))
+        z = 0.999 * np.sqrt(u) * np.exp(2j * np.pi * th)
+        fam = FAMILIES[name]
+        alphas = (0.5, 0.8, 1.5) if name == "example3" else (None,)
+        for a in alphas:
+            for k in (1.0, 2.0, 4.0, 10.0, 16.0, 64.0, math.inf):
+                r_t, s_t, c, f_out, inv_out = _hand_derived(name, a, k)
+                r = np.abs(z)
+                f = c * z
+                f[r > r_t] = f_out(z[r > r_t], r[r > r_t])
+                assert np.all(np.abs(fam.solution(z, a, k) - f) <= 1e-14 * np.abs(f))
+                w = f[np.abs(f) > 0.0]
+                s = np.abs(w)
+                back = inv_out(w, s)
+                back[s <= s_t] = w[s <= s_t] / c
+                assert np.all(np.abs(fam.inverse(w, a, k) - back) <= 1e-14 * np.abs(back))
+
+
+def _hand_derived(name, a, k):
+    """The capped solution of a table family written out by hand: (cap
+    radius r_t, its image s_t, slope c inside, outer map of (z, |z|), outer
+    inverse of (y, |y|)); r_t = s_t = inf, c = 1 where the cap empties the
+    disk, and c = 0 for k = inf."""
+    if name == "example3":
+        f_out = lambda z, r: z / r * (2.0 * r - 1.0) ** (1.0 / a)
+        inv_out = lambda y, s: y * (s**a + 1.0) / (2.0 * s)
+        if math.isinf(k):
+            return 0.5, 0.0, 0.0, f_out, inv_out
+        if k * a <= 2.0:  # K >= 2/alpha on the whole annulus
+            return math.inf, math.inf, 1.0, f_out, inv_out
+        r_t = k * a / (2.0 * (k * a - 1.0))
+        s_t = (1.0 / (k * a - 1.0)) ** (1.0 / a)
+        return r_t, s_t, s_t / r_t, f_out, inv_out
+    f_out = lambda z, r: z / r * np.sqrt(2.0 * np.log(r) + 1.0)
+    inv_out = lambda y, s: y / s * np.exp((s * s - 1.0) / 2.0)
+    if math.isinf(k):
+        return math.exp(-0.5), 0.0, 0.0, f_out, inv_out
+    c = math.exp((k - 1.0) / (2.0 * k)) / math.sqrt(k)
+    return math.exp((1.0 - k) / (2.0 * k)), 1.0 / math.sqrt(k), c, f_out, inv_out
 
 
 class TestWeightMass:
@@ -223,7 +274,7 @@ class TestWeightMass:
     def test_annulus_image_weight_mass(self):
         # q(s) s = 2 (s + sqrt(s)) for a = 0.5, so the disk integral is
         # 2 pi * 2 (1/2 + 2/3)
-        rep = l1_norm(example3_image_weight(0.5))
+        rep = l1_norm(E3.image_weight(0.5))
         assert not rep.divergent
         assert rep.value == pytest.approx(2.0 * math.pi * 7.0 / 3.0, rel=1e-8)
 
@@ -234,7 +285,7 @@ class TestWeightMass:
         assert rep.partial > 0.0
 
     def test_log_image_weight_divergent(self):
-        rep = l1_norm(FAMILIES["example4"].image_weight(None))
+        rep = l1_norm(E4.image_weight(None))
         assert rep.divergent
 
     def test_oscillating_weight_divergent(self):
@@ -273,7 +324,7 @@ class TestIntegrabilityScan:
 class TestReportAndRegistry:
     def test_dilatation_report_fields(self):
         spec = truncate_mu(MuSpec.example3(0.5), 10.0)
-        rep = build_dilatation_report(spec, weight=example3_image_weight(0.5))
+        rep = build_dilatation_report(spec, weight=E3.image_weight(0.5))
         assert rep.kind == "example3"
         assert rep.k_cap == 10.0
         assert rep.k_sup_probe <= 10.0 + 1e-9
@@ -332,6 +383,32 @@ class TestFamilyTable:
         pts = _family_points(fam, k)
         back = fam.inverse(fam.solution(pts, FAMILY_ALPHA, k), FAMILY_ALPHA, k)
         assert np.max(np.abs(back - pts)) <= 1e-12
+
+    def test_solution_is_continuous_at_the_cap(self, name, k):
+        # inside the cap radius the map is linear, with the slope its outer
+        # branch reaches at the edge (0 at the onset circle for k = inf)
+        fam = FAMILIES[name]
+        edge = fam.radius(FAMILY_ALPHA, k) * np.exp(0.7j)
+        out = edge * (1.0 + 1e-12)
+        slope = fam.solution(out, FAMILY_ALPHA, k) / out
+        inner = fam.solution(0.6 * edge, FAMILY_ALPHA, k)
+        assert abs(inner - 0.6 * edge * slope) <= 1e-5 * abs(0.6 * edge)
+
+    def test_full_cap_is_identity(self, name, k):
+        # level 1 empties every family's disk, and example3's stays empty
+        # up to k alpha = 2, since K >= 2/alpha; the class's k plays no part
+        fam = FAMILIES[name]
+        levels = [1.0]
+        if name == "example3":
+            levels += [1.0 / FAMILY_ALPHA, 2.0 / FAMILY_ALPHA]
+        pts = _family_points(fam, 10.0)
+        for level in levels:
+            assert fam.radius(FAMILY_ALPHA, level) == 1.0
+            assert fam.jump_radii(FAMILY_ALPHA, level) == ()
+            assert np.array_equal(fam.solution(pts, FAMILY_ALPHA, level), pts)
+            assert np.array_equal(fam.inverse(pts, FAMILY_ALPHA, level), pts)
+            capped = MuSpec(kind=name, alpha=fam.alpha_of(FAMILY_ALPHA), k_cap=level)
+            assert not np.any(capped.mu(pts))
 
     def test_cap_empties_the_family_radius(self, name, k):
         fam = FAMILIES[name]

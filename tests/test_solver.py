@@ -152,7 +152,7 @@ class TestSolvePrincipal:
         assert res.updates == (0.0,)
         assert observed_ratio(res.updates) is None
         assert np.array_equal(res.f.data, zz)
-        assert res.residual_linf_on_disk < 1e-10
+        assert res.residual.linf < 1e-10
 
     def test_constant_mu_closed_form(self):
         c = 0.4 + 0.1j
@@ -162,7 +162,9 @@ class TestSolvePrincipal:
         mask = np.abs(zz) <= 0.8
         err = np.max(np.abs(res.f.data - (zz + c * np.conj(zz)))[mask])
         assert err < 5e-3
-        rep = residual_report(res)
+        rep = res.residual
+        assert rep == residual_report(MuSpec.constant(c), res.mu_field.data,
+                                      res.f_z, res.f_zbar)
         assert rep.linf < 2e-2
         assert abs(rep.worst_point) <= 0.951
 
@@ -170,7 +172,7 @@ class TestSolvePrincipal:
         spec = MuSpec.constant(0.3)
         res_lo = solve_principal(spec, SolveConfig(grid=GridSpec.square(128, 2.0)))
         res_hi = solve_principal(spec, SolveConfig(grid=GridSpec.square(256, 2.0)))
-        assert res_lo.residual_linf_on_disk / res_hi.residual_linf_on_disk >= 1.5
+        assert res_lo.residual.linf / res_hi.residual.linf >= 1.5
 
     def test_iteration_counts_track_contraction(self):
         cfg = SolveConfig(grid=GridSpec.square(128, 2.0), max_iter=400)
@@ -221,6 +223,13 @@ class TestSolvePrincipal:
         spec = truncate_mu(MuSpec.example4(), k)
         res = solve_principal(spec, SolveConfig(grid=GridSpec.square(128, 2.0)))
         assert 0.0 < observed_ratio(res.updates) < spec.sup_abs_bound()
+
+    def test_fix_tol_below_round_off_rejected(self):
+        # below 1e-13 the updates stall at round-off before the stop rule
+        # holds, and the iteration would run out its whole budget
+        SolveConfig(fix_tol=1e-13)
+        with pytest.raises(ValueError, match="fix_tol"):
+            SolveConfig(fix_tol=1e-14)
 
     def test_grid_must_cover_padded_disk(self):
         with pytest.raises(ValueError):
@@ -436,6 +445,13 @@ class TestTruncationScheme:
             b = truncate_mu(MuSpec.example4(), k).sup_abs_bound()
             assert budget == math.ceil(math.log(cfg.fix_tol * (1.0 - b)) / math.log(b))
             assert 1 < res.iterations <= budget
+
+    def test_floor_tolerance_converges_at_a_high_cap(self):
+        # the smallest fix_tol still meets the stop rule at K = 4096 (63
+        # iterations, far below the a priori budget)
+        cfg = SolveConfig(grid=GridSpec.square(64, 2.0), fix_tol=1e-13)
+        run = truncation_scheme(MuSpec.example4(), (4096.0,), 1.5, cfg)
+        assert 1 < run.per_k[0].iterations < 200
 
     def test_bad_schedule(self):
         cfg = SolveConfig(grid=GridSpec.square(64, 2.0))
