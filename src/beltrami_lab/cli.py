@@ -274,9 +274,7 @@ def _parse_mu(text: str, alpha: float) -> MuSpec:
         return MuSpec.constant(complex(text[6:]))
     if text.startswith("grid:"):
         return MuSpec.from_grid(read_field(text[5:]))
-    if text in FAMILIES:
-        return MuSpec(kind=text, alpha=FAMILIES[text].alpha_of(alpha))
-    raise ValueError(f"unknown dilatation {text!r}")
+    return MuSpec.family(text, alpha)
 
 
 def _weight(name: str, n: int, alpha: float, family: str | None = None):

@@ -1,5 +1,13 @@
 """Complex dilatation fields, truncation, and dilatation functionals.
 
+The solver takes a field as a ``MuSpec``, and each source of fields is one
+constructor of it: ``MuSpec.family`` for an entry of the family table,
+``MuSpec.constant`` and ``MuSpec.from_grid`` for a constant and for sampled
+values.  A constructor gives the record its ``kind`` (the name reports
+print), its ``field`` on the open unit disk, ``sup`` (ess sup |mu| before
+the cap) and ``jumps`` (the circles where |mu| capped at k jumps), so
+evaluation, truncation and the bounds need no branch on the source.
+
 The family table ``FAMILIES`` holds the degenerate dilatation fields that
 have closed-form solutions.  Each is a radial stretch f(z) = (z/|z|) g(|z|)
 of the unit disk with the dilatation mu = (z^2/|z|^2) m(|z|), zero inside
@@ -36,6 +44,7 @@ from .numerics import (
     QuadratureConfig,
     QuadratureNonConvergence,
     adaptive_integral_1d,
+    bilinear,
     unit_sphere_area,
 )
 from .radial import (
@@ -99,108 +108,82 @@ def _radial_branches(z, cut, outer, inner=None, name="map", open_disk=False):
 
 @dataclass(frozen=True)
 class MuSpec:
-    """A dilatation field: a family of the table, a constant, or a sampled
-    grid, plus an optional truncation cap.
+    """A dilatation field plus an optional truncation cap.
 
-    ``mu`` evaluates the field anywhere in the plane (zero outside the
-    unit disk); ``k_cap`` applies truncation pointwise, keeping values with
-    maximal dilatation <= k_cap and zeroing the rest.
+    Each source is one constructor that sets ``kind``, ``field`` (z -> mu(z)
+    on the open unit disk), ``sup`` (ess sup |mu| before the cap) and
+    ``jumps`` (k -> the circles where |mu| capped at k jumps).  ``mu``
+    evaluates the field anywhere in the plane (zero outside the unit disk);
+    ``k_cap`` applies truncation pointwise, keeping values with maximal
+    dilatation <= k_cap and zeroing the rest.
     """
 
     kind: str
-    alpha: float | None = None
-    c: complex | None = None
-    grid_field: ComplexField | None = None
+    field: Callable
+    sup: float
+    jumps: Callable
     k_cap: float = math.inf
 
     def __post_init__(self) -> None:
-        if self.kind in FAMILIES:
-            FAMILIES[self.kind].alpha_of(self.alpha)
-        elif self.kind == "constant":
-            if self.c is None or abs(self.c) >= 1.0:
-                raise ValueError("constant dilatation needs |c| < 1")
-        elif self.kind == "grid":
-            if self.grid_field is None:
-                raise ValueError("grid dilatation needs a sampled field")
-            if np.any(np.abs(self.grid_field.data) > 1.0):
-                raise ValueError("grid dilatation samples must satisfy |mu| <= 1")
-        else:
-            raise ValueError(f"unknown dilatation kind {self.kind!r}")
         check_level(self.k_cap)
 
     @classmethod
+    def family(cls, name: str, alpha: float | None) -> "MuSpec":
+        """The field of the table family ``name`` (alpha None if it takes none)."""
+        if name not in FAMILIES:
+            raise ValueError(f"unknown dilatation {name!r}")
+        fam = FAMILIES[name]
+        a = fam.alpha_of(alpha)
+        return cls(name, lambda z: fam.mu(z, a), 1.0, lambda k: fam.jump_radii(a, k))
+
+    @classmethod
     def example3(cls, alpha: float) -> "MuSpec":
-        return cls(kind="example3", alpha=alpha)
+        return cls.family("example3", alpha)
 
     @classmethod
     def example4(cls) -> "MuSpec":
-        return cls(kind="example4")
+        return cls.family("example4", None)
 
     @classmethod
     def constant(cls, c: complex) -> "MuSpec":
-        return cls(kind="constant", c=complex(c))
+        c = complex(c)
+        if not abs(c) < 1.0:
+            raise ValueError("constant dilatation needs |c| < 1")
+        return cls("constant", lambda z: c, abs(c), lambda k: (1.0,) if c != 0 else ())
 
     @classmethod
     def from_grid(cls, field: ComplexField) -> "MuSpec":
-        zz = field.grid.zz()
-        data = np.where(np.abs(zz) < 1.0, field.data, 0.0)
-        return cls(kind="grid", grid_field=ComplexField(field.grid, data))
+        """The bilinear interpolant of the samples, zeroed off the unit disk."""
+        data = np.where(np.abs(field.grid.zz()) < 1.0, field.data, 0.0)
+        sup = float(np.max(np.abs(data)))
+        if sup > 1.0:
+            raise ValueError("grid dilatation samples must satisfy |mu| <= 1")
+        masked = ComplexField(field.grid, data)
+        return cls("grid", lambda z: bilinear(masked, z), sup, lambda k: (1.0,))
 
     def mu(self, z):
         zz = _as_complex(z)
-        r = np.abs(zz)
-        inside = r < 1.0
+        inside = np.abs(zz) < 1.0
         out = np.zeros_like(zz)
-        if self.kind == "constant":
-            out[inside] = self.c
-        elif self.kind in FAMILIES:
-            out[inside] = np.asarray(FAMILIES[self.kind].mu(zz[inside], self.alpha))
-        else:
-            out[inside] = self._interp_grid(zz[inside])
+        out[inside] = self.field(zz[inside])
         if math.isfinite(self.k_cap):
             thr = (self.k_cap - 1.0) / (self.k_cap + 1.0)
             out = np.where(np.abs(out) <= thr, out, 0.0)
         return out if out.shape else complex(out)
-
-    def _interp_grid(self, pts: np.ndarray) -> np.ndarray:
-        g = self.grid_field.grid
-        d = self.grid_field.data
-        fx = np.clip((pts.real - g.x_min) / g.dx, 0.0, g.nx - 1.0)
-        fy = np.clip((pts.imag - g.y_min) / g.dy, 0.0, g.ny - 1.0)
-        ix = np.minimum(fx.astype(int), g.nx - 2)
-        iy = np.minimum(fy.astype(int), g.ny - 2)
-        tx = fx - ix
-        ty = fy - iy
-        return (
-            d[iy, ix] * (1 - tx) * (1 - ty)
-            + d[iy, ix + 1] * tx * (1 - ty)
-            + d[iy + 1, ix] * (1 - tx) * ty
-            + d[iy + 1, ix + 1] * tx * ty
-        )
 
     def sample(self, grid) -> ComplexField:
         return ComplexField(grid, self.mu(grid.zz()))
 
     def sup_abs_bound(self) -> float:
         """Essential sup of |mu| after the cap (analytic where known)."""
-        if self.kind == "constant":
-            raw = abs(self.c)
-        elif self.kind == "grid":
-            raw = float(np.max(np.abs(self.grid_field.data)))
-        else:
-            raw = 1.0
         if math.isfinite(self.k_cap):
-            return min(raw, (self.k_cap - 1.0) / (self.k_cap + 1.0))
-        return raw
+            return min(self.sup, (self.k_cap - 1.0) / (self.k_cap + 1.0))
+        return self.sup
 
     def jump_radii(self) -> tuple:
         """Circles where the field is discontinuous (finite-difference
         comparisons exclude small bands around these)."""
-        if self.kind in FAMILIES:
-            return FAMILIES[self.kind].jump_radii(self.alpha, self.k_cap)
-        if self.kind == "constant":
-            return (1.0,) if self.c != 0 else ()
-        return (1.0,)
+        return self.jumps(self.k_cap)
 
 
 def K_mu(mu_value):

@@ -4,6 +4,7 @@ Conventions fixed here and relied on by the rest of the package:
 
 * field samples are stored row-major with y as the outer index, so
   ``data[iy, ix]`` sits at ``(x_min + ix*dx, y_min + iy*dy)``;
+* a sampled field is evaluated between its nodes by ``bilinear`` only;
 * Wirtinger derivatives use centered second-order differences in the
   interior and one-sided second-order stencils at the edges, which makes
   them exact (up to rounding) on affine fields;
@@ -24,6 +25,7 @@ import numpy as np
 __all__ = [
     "GridSpec",
     "ComplexField",
+    "bilinear",
     "QuadratureConfig",
     "QuadratureResult",
     "QuadratureNonConvergence",
@@ -51,6 +53,8 @@ class GridSpec:
             raise ValueError(f"grid must be at least 8x8, got {self.nx}x{self.ny}")
         if not (self.dx > 0.0 and self.dy > 0.0):
             raise ValueError("grid spacings must be positive")
+        if not all(map(math.isfinite, (self.x_min, self.y_min, self.dx, self.dy))):
+            raise ValueError("grid origin and spacings must be finite")
 
     @classmethod
     def square(cls, n: int, half_width: float = 2.0) -> "GridSpec":
@@ -102,6 +106,25 @@ class ComplexField:
             )
         if not np.all(np.isfinite(self.data)):
             raise ValueError("non-finite samples in a field")
+
+
+def bilinear(field: ComplexField, pts: np.ndarray) -> np.ndarray:
+    """Bilinear interpolant of a sampled field at the points pts (complex,
+    any shape); points outside the grid's box are clamped onto it."""
+    g = field.grid
+    d = field.data
+    fx = np.clip((pts.real - g.x_min) / g.dx, 0.0, g.nx - 1.0)
+    fy = np.clip((pts.imag - g.y_min) / g.dy, 0.0, g.ny - 1.0)
+    ix = np.minimum(fx.astype(int), g.nx - 2)
+    iy = np.minimum(fy.astype(int), g.ny - 2)
+    tx = fx - ix
+    ty = fy - iy
+    return (
+        d[iy, ix] * (1 - tx) * (1 - ty)
+        + d[iy, ix + 1] * tx * (1 - ty)
+        + d[iy + 1, ix] * (1 - tx) * ty
+        + d[iy + 1, ix + 1] * tx * ty
+    )
 
 
 def wirtinger_derivatives(field: ComplexField) -> tuple[ComplexField, ComplexField]:

@@ -325,36 +325,38 @@ class SolveResult:
         return len(self.updates)
 
 
-def _subcell_points(grid: GridSpec, zz: np.ndarray, cells: np.ndarray, sub: int):
-    """The cells where the mask ``cells`` holds, as (iy, ix), and a sub x sub
-    lattice of points centred in each of them, one row per cell."""
-    iy, ix = np.nonzero(cells)
+def _near_circles(r: np.ndarray, circles: Sequence[float], band: float) -> np.ndarray:
+    """Where the radius r lies within band of one of the circles about 0."""
+    near = np.zeros(r.shape, dtype=bool)
+    for rc in circles:
+        near |= np.abs(r - rc) <= band
+    return near
+
+
+def _cell_average(fn, grid: GridSpec, circles: Sequence[float], band: float,
+                  sub: int) -> np.ndarray:
+    """fn at the cell centres of grid, except in cells within band of one of
+    the circles about 0, where it is the mean of fn over a sub x sub lattice
+    of points centred in the cell."""
+    zz = grid.zz()
+    out = np.asarray(fn(zz))
+    iy, ix = np.nonzero(_near_circles(np.abs(zz), circles, band))
     offs = (np.arange(sub) + 0.5) / sub - 0.5
     ox, oy = np.meshgrid(offs * grid.dx, offs * grid.dy)
-    return iy, ix, zz[iy, ix][:, None] + (ox + 1j * oy).ravel()[None, :]
+    pts = zz[iy, ix][:, None] + (ox + 1j * oy).ravel()[None, :]
+    out[iy, ix] = np.asarray(fn(pts)).mean(axis=1)
+    return out
 
 
 def _sample_mu(spec: MuSpec, grid: GridSpec) -> np.ndarray:
-    zz = grid.zz()
-    data = np.asarray(spec.mu(zz), dtype=np.complex128)
-    step = max(grid.dx, grid.dy)
-    r = np.abs(zz)
-    for rc in spec.jump_radii():
-        band = np.abs(r - rc) <= ANTIALIAS_BAND_CELLS * step
-        if band.any():
-            iy, ix, pts = _subcell_points(grid, zz, band, ANTIALIAS_SUBCELLS)
-            data[iy, ix] = np.asarray(spec.mu(pts)).mean(axis=1)
-    return data
+    return _cell_average(spec.mu, grid, spec.jump_radii(),
+                         ANTIALIAS_BAND_CELLS * max(grid.dx, grid.dy), ANTIALIAS_SUBCELLS)
 
 
 def _retained_mask(grid: GridSpec, spec: MuSpec) -> np.ndarray:
-    zz = grid.zz()
-    r = np.abs(zz)
-    keep = r <= RESIDUAL_RADIUS
-    step = max(grid.dx, grid.dy)
-    for rc in spec.jump_radii():
-        keep &= np.abs(r - rc) > JUMP_BAND_CELLS * step
-    return keep
+    r = np.abs(grid.zz())
+    near = _near_circles(r, spec.jump_radii(), JUMP_BAND_CELLS * max(grid.dx, grid.dy))
+    return (r <= RESIDUAL_RADIUS) & ~near
 
 
 def _support_box(data: np.ndarray) -> tuple:
@@ -483,15 +485,8 @@ def sup_distance(a: ComplexField, b: ComplexField) -> float:
 def _disk_cell_weights(grid: GridSpec) -> np.ndarray:
     """Fraction of each cell inside the unit disk (subsampled at partial
     cells); cached per grid."""
-    zz = grid.zz()
-    r = np.abs(zz)
-    half_diag = 0.5 * math.hypot(grid.dx, grid.dy)
-    w = np.zeros(r.shape)
-    w[r <= 1.0 - half_diag] = 1.0
-    part = (r < 1.0 + half_diag) & (r > 1.0 - half_diag)
-    iy, ix, pts = _subcell_points(grid, zz, part, DISK_SUBCELLS)
-    w[iy, ix] = (np.abs(pts) <= 1.0).mean(axis=1)
-    return w
+    return _cell_average(lambda z: (np.abs(z) <= 1.0) * 1.0, grid, (1.0,),
+                         0.5 * math.hypot(grid.dx, grid.dy), DISK_SUBCELLS)
 
 
 def grid_kip_integral(res: SolveResult, order_p: float) -> float:

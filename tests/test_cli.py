@@ -128,6 +128,9 @@ class TestParseConfig:
             ["solve", "--residual-tol", "nan"],
             ["radial", "--profile", "example2", "--m", "nan"],
             ["holder", "--map", "example2", "--m", "nan"],
+            ["solve", "--mu", "const:nan"],
+            ["dilatation", "--mu", "const:nan"],
+            ["solve", "--half-width", "inf"],
         ],
     )
     def test_nan_flags_are_config_errors(self, capsys, argv):
@@ -229,6 +232,13 @@ class TestFieldIO:
         short.write_bytes(b"CFLD1\n8 8 -2 -2 0.5 0.5\n" + b"\x00" * 64)
         with pytest.raises(ValueError, match="payload size"):
             read_field(str(short))
+
+        payload = b"\x00" * (8 * 8 * 2 * 8)
+        for header in (b"nan -2 0.5 0.5", b"-inf -2 0.5 0.5", b"-2 -2 inf 0.5"):
+            not_finite = tmp_path / "d.cfld"
+            not_finite.write_bytes(b"CFLD1\n8 8 " + header + b"\n" + payload)
+            with pytest.raises(ValueError, match="finite"):
+                read_field(str(not_finite))
 
     def test_missing_file_reports_path(self, tmp_path):
         target = str(tmp_path / "absent.cfld")
@@ -594,6 +604,11 @@ class TestReadmeCommands:
         for line in lines:
             cfg = parse_config(shlex.split(line)[1:])
             assert cfg.command == shlex.split(line)[1]
+
+    def test_python_session_runs(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        block = readme.read_text().split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(block, "README.md", "exec"), {})
 
 
 def test_cli_import_leaves_scipy_quadrature_out():

@@ -110,7 +110,7 @@ class TestTruncation:
             lambda: fam.inverse(0.3, 0.5, 0.5),
             lambda: fam.jump_radii(0.5, 0.5),
             lambda: named_map(name, k=0.5),
-            lambda: MuSpec(kind=name, alpha=0.5, k_cap=0.5),
+            lambda: truncate_mu(MuSpec.family(name, 0.5), 0.5),
         ):
             with pytest.raises(ValueError):
                 call()
@@ -366,7 +366,7 @@ class TestFamilyTable:
     a new family is tested by adding it to the table."""
 
     def _spec(self, name, k):
-        spec = MuSpec(kind=name, alpha=FAMILIES[name].alpha_of(FAMILY_ALPHA))
+        spec = MuSpec.family(name, FAMILY_ALPHA)
         return spec if math.isinf(k) else truncate_mu(spec, k)
 
     def test_solution_has_the_field_as_dilatation(self, name, k):
@@ -407,7 +407,7 @@ class TestFamilyTable:
             assert fam.jump_radii(FAMILY_ALPHA, level) == ()
             assert np.array_equal(fam.solution(pts, FAMILY_ALPHA, level), pts)
             assert np.array_equal(fam.inverse(pts, FAMILY_ALPHA, level), pts)
-            capped = MuSpec(kind=name, alpha=fam.alpha_of(FAMILY_ALPHA), k_cap=level)
+            capped = truncate_mu(MuSpec.family(name, FAMILY_ALPHA), level)
             assert not np.any(capped.mu(pts))
 
     def test_cap_empties_the_family_radius(self, name, k):

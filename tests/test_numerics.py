@@ -18,6 +18,7 @@ from beltrami_lab.numerics import (
     QuadratureConfig,
     QuadratureNonConvergence,
     adaptive_integral_1d,
+    bilinear,
     unit_sphere_area,
     wirtinger_at_point,
     wirtinger_derivatives,
@@ -58,6 +59,26 @@ class TestComplexField:
         data[3, 3] = np.inf
         with pytest.raises(ValueError):
             ComplexField(g, data)
+
+
+class TestBilinear:
+    def test_exact_off_the_nodes_and_clamped_outside(self):
+        # a non-square, off-centre grid with dx != dy, so that a mix-up of
+        # the x and y weights shows
+        g = GridSpec(nx=40, ny=24, x_min=-1.3, y_min=-0.7, dx=0.07, dy=0.06)
+
+        def f(z):
+            x, y = z.real, z.imag
+            return (0.3 - 0.2j) + (1.1 + 0.4j) * x + (-0.7 + 0.9j) * y + (0.5 - 1.2j) * x * y
+
+        field = ComplexField(g, f(g.zz()))
+        rng = np.random.default_rng(5)
+        pts = rng.uniform(g.x_min, g.x_max, 500) + 1j * rng.uniform(g.y_min, g.y_max, 500)
+        assert np.max(np.abs(bilinear(field, pts) - f(pts))) <= 1e-13
+        outside = np.array([-3.0 + 0.1j, 5.0 - 2.0j, 0.2 + 4.0j, -9.0 + 9.0j])
+        clamped = (np.clip(outside.real, g.x_min, g.x_max)
+                   + 1j * np.clip(outside.imag, g.y_min, g.y_max))
+        assert np.max(np.abs(bilinear(field, outside) - f(clamped))) <= 1e-13
 
 
 class TestWirtinger:
