@@ -35,11 +35,14 @@ import numpy as np
 from . import __version__
 from .dilatation import (
     FAMILIES,
+    K_mu,
     MuSpec,
-    build_dilatation_report,
     check_level,
     check_radii,
+    k_sup_probe,
+    l1_norm,
     named_map,
+    spherical_integrability_scan,
     truncate_mu,
 )
 from .numerics import ComplexField, GridSpec
@@ -84,7 +87,7 @@ _WEIGHTS = {
 }
 
 # radial --profile names: (profile from n, m and the weight, the weight's
-# name, or None to take --weight)
+# name, or None to take --weight, default power)
 _PROFILES = {
     "identity": (lambda n, m, w: Example2Profile(n, 1.0), "unit"),
     "example2": (lambda n, m, w: Example2Profile(n, m), "power"),
@@ -178,8 +181,6 @@ def _build_parser() -> argparse.ArgumentParser:
     field(ps, "const:0.3")
     ps.add_argument("--k", type=float, default=None, help="truncation level")
     solver(ps)
-    ps.add_argument("--residual-tol", type=float, default=None,
-                    help="override the automatic residual check threshold")
     ps.add_argument("--no-dump", action="store_false", dest="dump_fields")
     common(ps)
 
@@ -211,8 +212,9 @@ def _build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--profile", default="example2", choices=list(_PROFILES))
     pr.add_argument("--n", type=int, default=2)
     pr.add_argument("--m", type=float, default=2.0)
-    pr.add_argument("--weight", default="power",
-                    help="weight for numeric profiles: " + ", ".join(sorted(_WEIGHTS)))
+    pr.add_argument("--weight", default=None,
+                    help="weight of the numeric profile (default power), one of: "
+                         + ", ".join(sorted(_WEIGHTS)))
     pr.add_argument("--alpha", type=float, default=0.5)
     pr.add_argument("--pairs", type=int, default=20, help="random radius pairs")
     common(pr)
@@ -337,8 +339,6 @@ def parse_config(argv: list) -> argparse.Namespace:
     if cmd in ("solve", "dilatation") and cfg.k is not None:
         if check("--k", check_level, cfg.k) and obj["spec"] is not None:
             obj["spec"] = truncate_mu(obj["spec"], cfg.k)
-    if cmd == "solve" and cfg.residual_tol is not None:
-        check("--residual-tol", _not_nan, cfg.residual_tol)
     if cmd in ("solve", "truncate"):
         obj["solve_cfg"] = _each_then_all(check, _solve_config, {
             "--grid": ("n", cfg.grid_n),
@@ -370,8 +370,10 @@ def parse_config(argv: list) -> argparse.Namespace:
             errors.append("--pairs: must be >= 1")
         if cfg.profile == "example2":
             check("--m", Example2Profile, 2, cfg.m)
+        if weight_name and cfg.weight is not None:
+            errors.append(f"--weight: profile {cfg.profile!r} takes the {weight_name} weight")
         if check("--n", unit_weight, cfg.n):
-            obj["weight"] = check("--weight", _weight, weight_name or cfg.weight,
+            obj["weight"] = check("--weight", _weight, weight_name or cfg.weight or "power",
                                   cfg.n, cfg.alpha)
         if not errors:
             obj["profile"] = check("--weight", make, cfg.n, cfg.m, obj["weight"])
@@ -464,11 +466,7 @@ def _cmd_solve(cfg, spec: MuSpec, solve_cfg: SolveConfig) -> tuple[dict, dict]:
     rep = res.residual
     metrics = {**_solve_metrics(res), "threads": thread_count()}
     sup_mu = metrics["sup_mu"]
-    if cfg.residual_tol is not None:
-        threshold = cfg.residual_tol
-    else:
-        k_eff = (1.0 + sup_mu) / (1.0 - sup_mu)
-        threshold = k_eff * res.f.grid.dx
+    threshold = K_mu(sup_mu) * res.f.grid.dx
     results = {
         "iterations": res.iterations,
         "final_update_l2": res.updates[-1],
@@ -577,25 +575,23 @@ def _cmd_radial(cfg, profile, weight) -> tuple[dict, dict]:
 
 
 def _cmd_dilatation(cfg, spec: MuSpec, weight) -> tuple[dict, dict]:
-    rep = build_dilatation_report(spec, weight,
-                                  cfg.scan_radii if cfg.scan_radii else None)
     results = {
-        "kind": rep.kind,
-        "k_cap": rep.k_cap,
-        "k_sup_probe": rep.k_sup_probe,
-        "ess_sup_mu": rep.ess_sup_mu,
+        "kind": spec.kind,
+        "k_cap": spec.k_cap,
+        "k_sup_probe": k_sup_probe(spec),
+        "ess_sup_mu": spec.sup_abs_bound(),
     }
-    if rep.l1 is not None:
-        results["l1_value"] = rep.l1.value
-        results["l1_divergent"] = rep.l1.divergent
-        results["l1_partial"] = rep.l1.partial
-    if rep.scan is not None:
-        write_csv(
-            os.path.join(cfg.out_dir, "scan.csv"),
-            ("radius", "spherical_mean", "finite"),
-            list(zip(rep.scan.radii, rep.scan.means, rep.scan.finite)),
-        )
-        results["finite_measure_estimate"] = rep.scan.finite_measure_estimate
+    if weight is not None:
+        l1 = l1_norm(weight)
+        results.update(l1_value=l1.value, l1_divergent=l1.divergent, l1_partial=l1.partial)
+        if cfg.scan_radii:
+            scan = spherical_integrability_scan(weight, None, cfg.scan_radii)
+            write_csv(
+                os.path.join(cfg.out_dir, "scan.csv"),
+                ("radius", "spherical_mean", "finite"),
+                list(zip(scan.radii, scan.means, scan.finite)),
+            )
+            results["finite_measure_estimate"] = scan.finite_measure_estimate
     return results, {}
 
 

@@ -64,8 +64,7 @@ __all__ = [
     "IntegrabilityScan",
     "check_radii",
     "spherical_integrability_scan",
-    "DilatationReport",
-    "build_dilatation_report",
+    "k_sup_probe",
     "solution_example3",
     "solution_example4",
     "Family",
@@ -153,12 +152,17 @@ class MuSpec:
 
     @classmethod
     def from_grid(cls, field: ComplexField) -> "MuSpec":
-        """The bilinear interpolant of the samples, zeroed off the unit disk."""
-        data = np.where(np.abs(field.grid.zz()) < 1.0, field.data, 0.0)
+        """The bilinear interpolant of the samples, zeroed off the unit disk;
+        the grid's box must contain [-1, 1]^2."""
+        g = field.grid
+        if min(-g.x_min, g.x_max, -g.y_min, g.y_max) < 1.0 - 1e-12:
+            raise ValueError(f"grid box [{g.x_min:g}, {g.x_max:g}] x [{g.y_min:g}, "
+                             f"{g.y_max:g}] does not contain [-1, 1]^2")
+        data = np.where(np.abs(g.zz()) < 1.0, field.data, 0.0)
         sup = float(np.max(np.abs(data)))
         if sup > 1.0:
             raise ValueError("grid dilatation samples must satisfy |mu| <= 1")
-        masked = ComplexField(field.grid, data)
+        masked = ComplexField(g, data)
         return cls("grid", lambda z: bilinear(masked, z), sup, lambda k: (1.0,))
 
     def mu(self, z):
@@ -309,41 +313,17 @@ def spherical_integrability_scan(Q, y0, radii: Sequence[float]) -> Integrability
     return IntegrabilityScan(tuple(rs), tuple(means), tuple(flags), measure)
 
 
-@dataclass(frozen=True)
-class DilatationReport:
-    kind: str
-    k_cap: float
-    k_sup_probe: float
-    ess_sup_mu: float
-    l1: L1Report | None
-    scan: IntegrabilityScan | None
-
-
-# build_dilatation_report probes K on this many points of a spiral in the disk
+# k_sup_probe evaluates K on this many points of a spiral in the disk
 _K_PROBE_POINTS = 400
 
 
-def build_dilatation_report(
-    spec: MuSpec,
-    weight: RadialWeight | None = None,
-    scan_radii: Sequence[float] | None = None,
-) -> DilatationReport:
-    """Assemble the standard diagnostics for a dilatation field."""
+def k_sup_probe(spec: MuSpec) -> float:
+    """Largest finite maximal dilatation of the field on a spiral of points
+    in the disk (1 if there is none)."""
     ts = (np.arange(_K_PROBE_POINTS) + 0.5) / _K_PROBE_POINTS
     pts = 0.97 * np.sqrt(ts) * np.exp(2j * math.pi * ts * 29.0)
     kvals = np.asarray(K_mu(spec.mu(pts)))
-    l1 = l1_norm(weight) if weight is not None else None
-    scan = None
-    if weight is not None and scan_radii is not None:
-        scan = spherical_integrability_scan(weight, None, scan_radii)
-    return DilatationReport(
-        kind=spec.kind,
-        k_cap=spec.k_cap,
-        k_sup_probe=float(np.max(kvals[np.isfinite(kvals)], initial=1.0)),
-        ess_sup_mu=spec.sup_abs_bound(),
-        l1=l1,
-        scan=scan,
-    )
+    return float(np.max(kvals[np.isfinite(kvals)], initial=1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +347,6 @@ class Family:
     stretch: Callable  # (r, alpha) -> g(r), the solution's radial profile
     unstretch: Callable  # (s, alpha) -> g^-1(s)
     cap_radius: Callable  # (alpha, k) -> radius of the disk the cap at k empties
-    rim_jump: bool  # |mu| also jumps at the unit circle
     image_weight: Callable  # alpha -> RadialWeight majorizing the inverse's dilatation
     check_alpha: Callable | None = None  # raises ValueError for a bad alpha
 
@@ -427,12 +406,13 @@ class Family:
 
     def jump_radii(self, alpha, k: float = math.inf) -> tuple:
         """Circles where |mu| capped at k jumps: the edge of the emptied
-        disk (the onset circle for k = inf), plus the unit circle for
-        rim_jump families; none once the cap empties the whole disk."""
+        disk (the onset circle for k = inf), plus the unit circle where m(1)
+        is not 0; none once the cap empties the whole disk."""
         inner = self.radius(alpha, k)
         if inner >= 1.0:
             return ()
-        return (inner, 1.0) if self.rim_jump else (inner,)
+        rim = self.modulus(1.0, self.alpha_of(alpha)) != 0
+        return (inner, 1.0) if rim else (inner,)
 
 
 FAMILIES = {
@@ -445,7 +425,6 @@ FAMILIES = {
         unstretch=lambda s, a: (s**a + 1.0) / 2.0,
         cap_radius=lambda a, k: (0.5 if math.isinf(k) else 1.0 if k * a <= 1.0
                                  else k * a / (2.0 * (k * a - 1.0))),
-        rim_jump=True,
         # q(s) = (s^alpha + 1) / (alpha s^alpha), integrable in degree q iff
         # alpha < 2/q
         image_weight=lambda a: RadialWeight(
@@ -461,7 +440,6 @@ FAMILIES = {
         unstretch=lambda s, a: np.exp((s * s - 1.0) / 2.0),
         cap_radius=lambda a, k: (math.exp(-0.5) if math.isinf(k)
                                  else math.exp((1.0 - k) / (2.0 * k))),
-        rim_jump=False,
         image_weight=lambda a: power_weight(2),  # q(s) = s^-2
     ),
 }

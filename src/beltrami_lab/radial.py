@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -42,7 +42,6 @@ __all__ = [
     "Example2Profile",
     "NumericProfile",
     "InverseProfile",
-    "StretchFactors",
     "radial_stretch_factors",
     "check_order_p",
     "radial_K_Ip",
@@ -228,8 +227,9 @@ class RadialProfile:
     def value(self, r: float) -> float:
         raise NotImplementedError
 
-    def derivative(self, r: float, side: int = 0) -> float:
-        """rho'(r); ``side`` -1/+1 picks a one-sided value at a kink."""
+    def derivative(self, r: float) -> float:
+        """rho'(r).  At a kink of a closed-form profile it is the outer-branch
+        (right) value; a numeric profile takes the weight's value at r."""
         raise NotImplementedError
 
     def inverse(self, s: float) -> float:
@@ -276,14 +276,11 @@ class Example2Profile(RadialProfile):
             return self._slope * r
         return self._stretch(r)
 
-    def derivative(self, r: float, side: int = 0) -> float:
+    def derivative(self, r: float) -> float:
         self._check_radius(r)
         r = min(float(r), 1.0)
-        at_cut = abs(r - self._cut) <= 1e-12 * self._cut
-        if r < self._cut or (at_cut and side < 0):
+        if r < self._cut:
             return self._slope
-        if at_cut and side == 0:
-            r = self._cut  # the branch point belongs to the outer branch
         return self._stretch(r) * r ** (self._b - 1.0)
 
     def inverse(self, s: float) -> float:
@@ -368,14 +365,10 @@ class NumericProfile(RadialProfile):
         i = int(np.searchsorted(self._nodes, r, side="left"))
         return _rho(self._tail_from(r, float(self._nodes[i]), float(self._tails[i])))
 
-    def derivative(self, r: float, side: int = 0) -> float:
+    def derivative(self, r: float) -> float:
         self._check_radius(r)
         r = min(float(r), 1.0)
-        rho = self.value(r)
-        if side == 0:
-            return self._g(r) * rho
-        # one-sided value just off a weight jump
-        return self._g(r * (1.0 + side * 1e-13)) * rho
+        return self._g(r) * self.value(r)
 
     def _descent(self):
         """(r, integral_r^1) for r = _R_FLOOR/4, _R_FLOOR/16, ..., each
@@ -437,10 +430,9 @@ class InverseProfile(RadialProfile):
         self._check_radius(r)
         return self.base.inverse(min(float(r), 1.0))
 
-    def derivative(self, r: float, side: int = 0) -> float:
+    def derivative(self, r: float) -> float:
         self._check_radius(r)
-        t = self.base.inverse(min(float(r), 1.0))
-        return 1.0 / self.base.derivative(t, side=side)
+        return 1.0 / self.base.derivative(self.base.inverse(min(float(r), 1.0)))
 
     def inverse(self, s: float) -> float:
         return self.base.value(s)
@@ -474,22 +466,11 @@ def _monotone_root(fn: Callable[[float], float], lo: float, hi: float, target: f
     return 0.5 * (lo + hi)
 
 
-class StretchFactors(NamedTuple):
-    tangential: float
-    radial: float
-
-
-def radial_stretch_factors(p: RadialProfile, s: float) -> StretchFactors:
-    """(rho(s)/s, rho'(s)) at radius s.
-
-    At a profile kink the radial factor is two-valued; the returned
-    ``radial`` is the outer-branch (right) value.
-    """
+def radial_stretch_factors(p: RadialProfile, s: float) -> tuple:
+    """(tangential, radial) = (rho(s)/s, rho'(s)) at radius s."""
     if not (0.0 < s <= 1.0):
         raise ValueError(f"radius {s!r} outside (0, 1]")
-    tangential = p.value(s) / s
-    at_kink = any(abs(s - t) <= 1e-12 * max(t, 1.0) for t in p.kink_radii)
-    return StretchFactors(tangential, p.derivative(s, side=1 if at_kink else 0))
+    return p.value(s) / s, p.derivative(s)
 
 
 def check_order_p(order_p: float) -> float:
@@ -505,8 +486,7 @@ def radial_K_Ip(p: RadialProfile, s: float, order_p: float) -> float:
     conventions 1 when both stretch factors vanish and inf when exactly
     one does."""
     check_order_p(order_p)
-    f = radial_stretch_factors(p, s)
-    dt, dr = f.tangential, f.radial
+    dt, dr = radial_stretch_factors(p, s)
     if dt < 0.0 or dr < 0.0:
         raise ValueError("stretch factors must be nonnegative")
     if dt == 0.0 and dr == 0.0:
@@ -579,8 +559,7 @@ def kip_integral_source_route(f_profile: RadialProfile, order_p: float) -> float
     2 pi * int_0^1 max(tangential, radial)^p s ds of the forward map f."""
 
     def integrand(s: float) -> float:
-        fac = radial_stretch_factors(f_profile, s)
-        return max(fac.tangential, fac.radial) ** order_p * s
+        return max(radial_stretch_factors(f_profile, s)) ** order_p * s
 
     res = adaptive_integral_1d(integrand, 1e-12, 1.0, breakpoints=f_profile.kink_radii)
     return 2.0 * math.pi * res.value

@@ -569,18 +569,18 @@ def truncation_scheme(
     )
 
 
-def beurling_norm_estimate(iterations: int = 30, seed: int = 0) -> float:
-    """Power-iteration estimate of the discrete L2 norm of the Beurling
-    transform restricted to fields supported in the unit disk, on the 256^2
-    grid over [-2, 2]^2."""
+def beurling_norm_estimate() -> float:
+    """Power-iteration estimate (30 steps from a seed-0 random start) of
+    the discrete L2 norm of the Beurling transform restricted to fields
+    supported in the unit disk, on the 256^2 grid over [-2, 2]^2."""
     grid = GridSpec.square(256, 2.0)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     mask = np.abs(grid.zz()) < 1.0
     v = rng.standard_normal(mask.shape) + 1j * rng.standard_normal(mask.shape)
     v = np.where(mask, v, 0.0)
     v /= np.linalg.norm(v)
     est = 0.0
-    for _ in range(iterations):
+    for _ in range(30):
         w = _padded_transform(v, grid, "beurling")
         back = _padded_transform(w, grid, "beurling_adj")
         back = np.where(mask, back, 0.0)

@@ -2,7 +2,7 @@
 
 Two empirical checks live here:
 
-* the log-continuity product |f(x) - f(y)| ln^{1/n}(1 + r0 / (2|x-y|)),
+* the log-continuity product |f(x) - f(y)| ln^{1/2}(1 + r0 / (2|x-y|)),
   scanned over random point pairs at dyadic separations; for maps built
   from integrable dilatation weights the per-scale maxima stay bounded,
 * a divergence classifier for the integral of dt / (t q(t)) near 0, which
@@ -74,8 +74,8 @@ class HolderReport:
     bounded_flag: bool
 
 
-def holder_product(f: Callable, x, y, r0: float, n: int = 2):
-    """|f(x) - f(y)| ln^{1/n}(1 + r0/(2|x - y|)) at two points, or
+def holder_product(f: Callable, x, y, r0: float):
+    """|f(x) - f(y)| ln^{1/2}(1 + r0/(2|x - y|)) at two points, or
     elementwise at two equal-shape arrays of points; 0 where x = y (the
     continuous extension).  f is evaluated once, on x and y together."""
     if not (r0 > 0.0):
@@ -89,7 +89,7 @@ def holder_product(f: Callable, x, y, r0: float, n: int = 2):
     dist = np.abs(x - y).ravel()
     out = np.zeros(x.size)
     apart = dist > 0.0
-    out[apart] = diffs[apart] * np.log1p(r0 / (2.0 * dist[apart])) ** (1.0 / n)
+    out[apart] = diffs[apart] * np.log1p(r0 / (2.0 * dist[apart])) ** 0.5
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
@@ -166,7 +166,6 @@ def holder_scan(
 class LehtoScan:
     values: tuple
     increments: tuple
-    normalized_increments: tuple
     classification: str
     diagnostics: str | None
 
@@ -197,7 +196,6 @@ def lehto_divergence_scan(
         raise ValueError("cutoffs must lie in (0, delta)")
     values = []
     increments = []
-    normalized = []
     diagnostics = None
     try:
         total = lehto_integral(w, cuts[0], delta)
@@ -205,7 +203,6 @@ def lehto_divergence_scan(
         for prev, cur in zip(cuts, cuts[1:]):
             seg = lehto_integral(w, cur, prev)
             increments.append(seg)
-            normalized.append(seg / math.log(prev / cur))
             total += seg
             values.append(total)
     except (QuadratureNonConvergence, IntegrandNonFinite) as exc:
@@ -214,7 +211,7 @@ def lehto_divergence_scan(
         cls = "inconclusive"
     else:
         d3 = increments[-3:]
-        u3 = normalized[-3:]
+        u3 = [d / math.log(a / b) for d, a, b in zip(d3, cuts[-4:-1], cuts[-3:])]
         ratios = [b / a if a > 0 else math.inf for a, b in zip(d3, d3[1:])]
         mean_u = sum(u3) / 3.0
         if all(r <= 0.7 for r in ratios) or all(d <= 1e-13 for d in d3):
@@ -226,7 +223,6 @@ def lehto_divergence_scan(
     return LehtoScan(
         values=tuple(values),
         increments=tuple(increments),
-        normalized_increments=tuple(normalized),
         classification=cls,
         diagnostics=diagnostics,
     )

@@ -36,7 +36,6 @@ class TestParseConfig:
         assert cfg.half_width == 2.0
         assert cfg.out_dir == "out"
         assert cfg.dump_fields is True
-        assert cfg.residual_tol is None
         # the solver defaults live in SolveConfig alone
         for cmd in ("solve", "truncate"):
             cfg = parse_config([cmd])
@@ -110,6 +109,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(["radial", "--pairs", "0"])
 
+    @pytest.mark.parametrize("profile", ["identity", "example2", "example4-limit"])
+    def test_radial_weight_refused_where_the_profile_fixes_it(self, profile):
+        # the closed-form profiles check their own weight, so a --weight
+        # there would be ignored: it is refused instead
+        with pytest.raises(ConfigError, match="--weight"):
+            parse_config(["radial", "--profile", profile, "--weight", "example1"])
+        assert parse_config(["radial", "--profile", "numeric"]).objects["weight"].q(0.5) == 4.0
+
     def test_dilatation_scan_radii(self):
         cfg = parse_config(["dilatation", "--scan-radii", "0.5,0.25"])
         assert cfg.scan_radii == (0.5, 0.25)
@@ -125,7 +132,6 @@ class TestParseConfig:
         "argv",
         [
             ["truncate", "--bound", "nan"],
-            ["solve", "--residual-tol", "nan"],
             ["radial", "--profile", "example2", "--m", "nan"],
             ["holder", "--map", "example2", "--m", "nan"],
             ["solve", "--mu", "const:nan"],
@@ -278,19 +284,6 @@ class TestSolveCommand:
         mu = read_field(os.path.join(out, "mu.cfld"))
         assert np.max(np.abs(mu.data)) == 0.0
 
-    def test_explicit_residual_tol_can_fail(self, tmp_path, capsys):
-        out = str(tmp_path / "run")
-        code = main(
-            ["solve", "--mu", "const:0.3", "--grid", "64", "--out", out,
-             "--residual-tol", "1e-12"]
-        )
-        assert code == 1
-        assert "FAIL residual_below_tol" in capsys.readouterr().out
-        doc = _read_json(os.path.join(out, "solve.summary.json"))
-        check = doc["checks"]["residual_below_tol"]
-        assert check["passed"] is False
-        assert check["threshold"] == 1e-12
-
     def test_no_dump_skips_field_files(self, tmp_path):
         out = str(tmp_path / "run")
         code = main(
@@ -314,6 +307,15 @@ class TestSolveCommand:
         assert "ContractionError" in capsys.readouterr().err
         doc = _read_json(os.path.join(out, "solve.summary.json"))
         assert doc["error"].startswith("ContractionError")
+
+    def test_grid_mu_smaller_than_the_disk_exits_2(self, tmp_path, capsys):
+        g = GridSpec(nx=16, ny=16, x_min=-0.5, y_min=-0.5, dx=1.0 / 15, dy=1.0 / 15)
+        src = str(tmp_path / "mu_in.cfld")
+        dump_field(ComplexField(g, np.full((16, 16), 0.5 + 0.0j)), src)
+        code = main(["solve", "--mu", f"grid:{src}", "--grid", "64",
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "--mu/--alpha" in capsys.readouterr().err
 
     def test_truncated_grid_mu_solves(self, tmp_path):
         g = GridSpec.square(64, 2.0)
@@ -534,11 +536,11 @@ class TestReportCommand:
 
     def test_failed_ingested_check_fails_report(self, tmp_path, capsys):
         out = str(tmp_path / "run")
-        main(["solve", "--mu", "const:0.3", "--grid", "64", "--out", out,
-              "--residual-tol", "1e-12", "--no-dump"])
+        main(["truncate", "--mu", "const:0.3", "--k", "2", "--grid", "64", "--out", out,
+              "--bound", "1"])
         code = main(["report", "--out", out])
         assert code == 1
-        assert "FAIL solve.residual_below_tol" in capsys.readouterr().out
+        assert "FAIL truncate.kip_below_bound" in capsys.readouterr().out
 
     def test_empty_directory_is_fine(self, tmp_path):
         out = str(tmp_path / "empty")

@@ -10,7 +10,7 @@ from beltrami_lab.dilatation import (
     K_mu,
     L1Report,
     MuSpec,
-    build_dilatation_report,
+    k_sup_probe,
     l1_norm,
     named_map,
     solution_example3,
@@ -142,6 +142,14 @@ class TestMuSpec:
         assert spec.mu(1.2) == 0.0
         sampled = spec.sample(g)
         assert np.max(np.abs(sampled.data - data)) < 1e-12
+
+    def test_grid_spec_refuses_a_box_smaller_than_the_disk(self):
+        # clamped bilinear values would otherwise extend the field to |z| < 1
+        small = GridSpec(nx=16, ny=16, x_min=-0.5, y_min=-0.5, dx=1.0 / 15, dy=1.0 / 15)
+        with pytest.raises(ValueError, match="does not contain"):
+            MuSpec.from_grid(ComplexField(small, np.full((16, 16), 0.5 + 0.0j)))
+        exact = GridSpec.square(16, 1.0)
+        assert MuSpec.from_grid(ComplexField(exact, np.zeros((16, 16), complex))).sup == 0.0
 
     def test_grid_spec_rejects_excess_modulus(self):
         g = GridSpec.square(32, 2.0)
@@ -324,12 +332,9 @@ class TestIntegrabilityScan:
 class TestReportAndRegistry:
     def test_dilatation_report_fields(self):
         spec = truncate_mu(MuSpec.example3(0.5), 10.0)
-        rep = build_dilatation_report(spec, weight=E3.image_weight(0.5))
-        assert rep.kind == "example3"
-        assert rep.k_cap == 10.0
-        assert rep.k_sup_probe <= 10.0 + 1e-9
-        assert rep.ess_sup_mu <= 9.0 / 11.0 + 1e-12
-        assert rep.l1 is not None and not rep.l1.divergent
+        assert 1.0 < k_sup_probe(spec) <= 10.0 + 1e-9
+        assert spec.sup_abs_bound() == pytest.approx(9.0 / 11.0, rel=1e-15)
+        assert k_sup_probe(MuSpec.constant(0.0)) == 1.0
 
     def test_named_map_registry(self):
         f, radii = named_map("identity")

@@ -43,8 +43,11 @@ class TestProfiles:
         cut = 0.5
         assert p.kink_radii == (cut,)
         assert p.value(cut - 1e-12) == pytest.approx(p.value(cut + 1e-12), abs=1e-11)
-        # one-sided derivatives differ at the kink
-        assert p.derivative(cut, side=-1) != pytest.approx(p.derivative(cut, side=+1))
+        # the kink belongs to the outer branch; the inner slope holds below it
+        inner, outer = p.derivative(cut * (1.0 - 1e-9)), p.derivative(cut)
+        assert outer == pytest.approx(math.exp(0.5 * (cut**2 - 1.0)) * cut, rel=1e-14)
+        assert inner == pytest.approx(p.value(cut) / cut, rel=1e-14)
+        assert inner != pytest.approx(outer)
 
     def test_example2_m1_is_identity(self):
         p = Example2Profile(2, 1.0)
@@ -278,9 +281,9 @@ class TestPoletsky:
 
 class TestStretchAndKip:
     def test_identity_factors(self):
-        fac = radial_stretch_factors(Example2Profile(2, 1.0), 0.5)
-        assert fac.tangential == pytest.approx(1.0)
-        assert fac.radial == pytest.approx(1.0)
+        tangential, radial = radial_stretch_factors(Example2Profile(2, 1.0), 0.5)
+        assert tangential == pytest.approx(1.0)
+        assert radial == pytest.approx(1.0)
         assert radial_K_Ip(Example2Profile(2, 1.0), 0.5, 1.5) == pytest.approx(1.0)
 
     def test_linear_branch_kip(self):
@@ -294,8 +297,8 @@ class TestStretchAndKip:
     def test_order_two_matches_classical(self):
         p = Example2Profile(2, math.inf)
         s = 0.6
-        fac = radial_stretch_factors(p, s)
-        classical = max(fac.tangential, fac.radial) / min(fac.tangential, fac.radial)
+        tangential, radial = radial_stretch_factors(p, s)
+        classical = max(tangential, radial) / min(tangential, radial)
         assert radial_K_Ip(p, s, 2.0) == pytest.approx(classical, rel=1e-12)
 
     def test_kip_routes_agree(self):

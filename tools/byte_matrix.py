@@ -1,4 +1,4 @@
-"""Run the 29-command CLI matrix and print one digest line per command.
+"""Run the 30-command CLI matrix and print one digest line per command.
 
     python3 tools/byte_matrix.py SRC_DIR
 
@@ -55,6 +55,7 @@ MATRIX = (
     "radial --profile numeric --weight unit --pairs 3",
     "radial --profile numeric --weight example4-image --pairs 3",
     "radial --profile numeric --weight power --n 3 --pairs 3",
+    "radial --profile numeric --weight example3-image --alpha 0.01 --pairs 2",
 )
 # commands (1-based) whose summaries the closing report merges
 REPORTED = (10, 20)
