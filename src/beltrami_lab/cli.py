@@ -490,7 +490,7 @@ def _cmd_truncate(cfg, spec: MuSpec, solve_cfg: SolveConfig,
     run = truncation_scheme(spec, cfg.k_schedule, cfg.order_p, solve_cfg,
                             bound_M=bound_M)
     rows = []
-    for i, (k, res) in enumerate(zip(run.k_schedule, run.per_k)):
+    for i, (k, res) in enumerate(zip(cfg.k_schedule, run.per_k)):
         rows.append((
             k,
             res.iterations,
@@ -506,16 +506,16 @@ def _cmd_truncate(cfg, spec: MuSpec, solve_cfg: SolveConfig,
         rows,
     )
     results = {
-        "k_schedule": list(run.k_schedule),
-        "order_p": run.order_p,
+        "k_schedule": list(cfg.k_schedule),
+        "order_p": cfg.order_p,
         "KIp_integrals": list(run.KIp_integrals),
         "pairwise_sup_dist": list(run.pairwise_sup_dist),
-        "bound_M": run.bound_M,
+        "bound_M": bound_M,
     }
     checks = {}
     if run.bound_ok is not None:
         checks["kip_below_bound"] = _check(all(run.bound_ok), max(run.KIp_integrals),
-                                           run.bound_M)
+                                           bound_M)
     results["metrics"] = {"levels": [_solve_metrics(res) for res in run.per_k],
                           "threads": thread_count()}
     return results, checks
@@ -523,16 +523,17 @@ def _cmd_truncate(cfg, spec: MuSpec, solve_cfg: SolveConfig,
 
 def _cmd_holder(cfg, fmap: tuple, holder_cfg: HolderConfig, weight) -> tuple[dict, dict]:
     f, branch = fmap
-    rep = holder_scan(f, holder_cfg, Q=weight, branch_radii=branch)
+    q_l1 = l1_norm(weight).value if weight is not None else math.nan
+    rep = holder_scan(f, holder_cfg, q_l1, branch)
     write_csv(
         os.path.join(cfg.out_dir, "holder.csv"),
         ("scale", "max_product"),
-        list(zip(rep.scales, rep.per_scale_max_product)),
+        list(zip(holder_cfg.dyadic_scales, rep.per_scale_max_product)),
     )
     results = {
         "per_scale_max_product": list(rep.per_scale_max_product),
         "empirical_C": rep.empirical_C,
-        "q_l1": rep.q_l1,
+        "q_l1": q_l1,
         "bounded": rep.bounded_flag,
     }
     checks = {"products_bounded": _check(rep.bounded_flag, max(rep.per_scale_max_product))}

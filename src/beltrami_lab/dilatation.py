@@ -301,10 +301,13 @@ def spherical_integrability_scan(Q, y0, radii: Sequence[float]) -> Integrability
     rs = sorted(check_radii(radii))
     means = []
     for r in rs:
-        if isinstance(Q, RadialWeight):
-            means.append(float(Q.q(r)))
-        else:
-            means.append(spherical_mean(Q, y0, r))
+        try:
+            if isinstance(Q, RadialWeight):
+                means.append(float(Q.q(r)))
+            else:
+                means.append(spherical_mean(Q, y0, r))
+        except OverflowError:  # a mean past the float range is infinite
+            means.append(math.inf)
     flags = [math.isfinite(v) for v in means]
     measure = 0.0
     for i in range(len(rs) - 1):
@@ -461,13 +464,13 @@ def named_map(name: str, alpha: float | None = None, k: float | None = None,
               m: float | None = None):
     """Closed-form map registry for scans: returns (evaluator on complex
     arrays, branch radii).  Names: identity, example2, and the solutions of
-    the table families (alpha defaults to 0.5, k to no cap)."""
+    the table families (alpha defaults to 0.5, k to no cap), whose branch
+    radii are the family's jump circles."""
     kk = math.inf if k is None else check_level(k)
     if name in FAMILIES:
         fam = FAMILIES[name]
         a = fam.alpha_of(0.5 if alpha is None else alpha)
-        r_t = fam.radius(a, kk)
-        return (lambda z: fam.solution(z, a, kk)), ((r_t,) if r_t < 1.0 else ())
+        return (lambda z: fam.solution(z, a, kk)), fam.jump_radii(a, kk)
     if name == "identity":
         return (lambda z: _as_complex(z)), ()
     if name == "example2":

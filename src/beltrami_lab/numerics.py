@@ -134,8 +134,6 @@ def wirtinger_derivatives(field: ComplexField) -> tuple[ComplexField, ComplexFie
     second-order at the edges.  Exact for affine fields a + b*z + c*zbar up
     to rounding.
     """
-    if field.grid.nx < 3 or field.grid.ny < 3:
-        raise ValueError("wirtinger_derivatives needs at least a 3x3 grid")
     fx = np.gradient(field.data, field.grid.dx, axis=1, edge_order=2)
     fy = np.gradient(field.data, field.grid.dy, axis=0, edge_order=2)
     fz = 0.5 * (fx - 1j * fy)

@@ -228,8 +228,7 @@ class RadialProfile:
         raise NotImplementedError
 
     def derivative(self, r: float) -> float:
-        """rho'(r).  At a kink of a closed-form profile it is the outer-branch
-        (right) value; a numeric profile takes the weight's value at r."""
+        """rho'(r); at a kink, the outer-branch (right) value."""
         raise NotImplementedError
 
     def inverse(self, s: float) -> float:
@@ -368,7 +367,10 @@ class NumericProfile(RadialProfile):
     def derivative(self, r: float) -> float:
         self._check_radius(r)
         r = min(float(r), 1.0)
-        return self._g(r) * self.value(r)
+        # at a jump of the weight, the integrand just outside it
+        up = math.nextafter(r, 2.0)
+        t = up if self.weight.breakpoints(math.nextafter(r, 0.0), up) else r
+        return self._g(t) * self.value(r)
 
     def _descent(self):
         """(r, integral_r^1) for r = _R_FLOOR/4, _R_FLOOR/16, ..., each

@@ -502,12 +502,9 @@ def grid_kip_integral(res: SolveResult, order_p: float) -> float:
 
 @dataclass
 class TruncationRun:
-    k_schedule: tuple
-    order_p: float
     per_k: list
     pairwise_sup_dist: tuple
     KIp_integrals: tuple
-    bound_M: float | None
     bound_ok: tuple | None
 
 
@@ -559,12 +556,9 @@ def truncation_scheme(
     if bound_M is not None:
         ok = tuple(v <= bound_M for v in integrals)
     return TruncationRun(
-        k_schedule=ks,
-        order_p=order_p,
         per_k=per_k,
         pairwise_sup_dist=dists,
         KIp_integrals=integrals,
-        bound_M=bound_M,
         bound_ok=ok,
     )
 

@@ -4,7 +4,8 @@ Two empirical checks live here:
 
 * the log-continuity product |f(x) - f(y)| ln^{1/2}(1 + r0 / (2|x-y|)),
   scanned over random point pairs at dyadic separations; for maps built
-  from integrable dilatation weights the per-scale maxima stay bounded,
+  from integrable dilatation weights the per-scale maxima stay bounded;
+  the caller gives the weight's mass, which scales the empirical constant,
 * a divergence classifier for the integral of dt / (t q(t)) near 0, which
   separates weights that admit homeomorphic solutions from those that do
   not.
@@ -21,7 +22,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dilatation import l1_norm
 from .numerics import IntegrandNonFinite, QuadratureNonConvergence
 from .radial import RadialWeight, lehto_integral
 
@@ -67,10 +67,8 @@ class HolderConfig:
 
 @dataclass(frozen=True)
 class HolderReport:
-    scales: tuple
     per_scale_max_product: tuple
     empirical_C: float
-    q_l1: float
     bounded_flag: bool
 
 
@@ -117,24 +115,20 @@ def _branch_pairs(rng, count: int, radius: float, scale: float, circles: Sequenc
 def holder_scan(
     f: Callable,
     cfg: HolderConfig | None = None,
-    Q: RadialWeight | float | None = None,
+    q_l1: float = math.nan,
     branch_radii: Sequence[float] = (),
 ) -> HolderReport:
-    """Max continuity product over random pairs at each scale.
+    """Max continuity product over random pairs at each of cfg's scales.
 
-    Half the pairs straddle the supplied branch circles (where the example
-    maps are least regular); the rest are uniform over the compact.  The
-    scan is deterministic given cfg.seed.  bounded_flag is false only when
-    the maxima at the three finest scales grow monotonically by more than
-    5% overall.
+    Half the pairs straddle the branch circles inside the compact (the jump
+    circles of the map's dilatation, where the example maps are least
+    regular); the rest are uniform over the compact.  empirical_C is the
+    largest product over q_l1^(1/2), q_l1 the weight's mass (nan unless
+    finite).  The scan is deterministic given cfg.seed.  bounded_flag is
+    false only when the maxima at the three finest scales grow
+    monotonically by more than 5% overall.
     """
     cfg = cfg or HolderConfig()
-    if isinstance(Q, RadialWeight):
-        q_l1 = l1_norm(Q).value
-    elif Q is None:
-        q_l1 = math.nan
-    else:
-        q_l1 = float(Q)
     rng = np.random.default_rng(cfg.seed)
     usable = [rc for rc in branch_radii if 0.0 < rc < cfg.compact_radius]
     maxima = []
@@ -154,10 +148,8 @@ def holder_scan(
     top = max(maxima)
     emp = top / q_l1 ** 0.5 if math.isfinite(q_l1) else math.nan
     return HolderReport(
-        scales=tuple(cfg.dyadic_scales),
         per_scale_max_product=tuple(maxima),
         empirical_C=emp,
-        q_l1=q_l1,
         bounded_flag=not growing,
     )
 

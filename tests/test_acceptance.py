@@ -218,10 +218,10 @@ class TestAcceptance:
 
     def test_08_log_continuity_scan_bounded(self):
         f3, branch = named_map("example3", alpha=0.5)
-        rep3 = holder_scan(f3, Q=None, branch_radii=branch)
-        ident = holder_scan(lambda z: np.asarray(z), Q=4.0)
+        rep3 = holder_scan(f3, branch_radii=branch)
+        ident = holder_scan(lambda z: np.asarray(z), q_l1=4.0)
         decay = ident.per_scale_max_product[-1] < ident.per_scale_max_product[0] / 100.0
-        doubled = holder_scan(lambda z: 2.0 * np.asarray(z), Q=4.0)
+        doubled = holder_scan(lambda z: 2.0 * np.asarray(z), q_l1=4.0)
         covariant = doubled.empirical_C == 2.0 * ident.empirical_C
         ok = rep3.bounded_flag and decay and covariant
         assert _report(

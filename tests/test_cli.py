@@ -517,6 +517,14 @@ class TestDilatationCommand:
         assert scan_lines[0] == "radius,spherical_mean,finite"
         assert len(scan_lines) == 4
 
+    def test_scan_radius_past_the_float_range(self, tmp_path):
+        # the power weight's mean overflows a float at 1e-200
+        out = str(tmp_path / "run")
+        assert main(["dilatation", "--mu", "example4", "--weight", "power",
+                     "--scan-radii", "0.5,1e-200", "--out", out]) == 0
+        scan_lines = open(os.path.join(out, "scan.csv")).read().strip().split("\n")
+        assert scan_lines[1] == "9.9999999999999998e-201,inf,false"
+
 
 class TestReportCommand:
     def test_merges_checks_from_prior_runs(self, tmp_path):

@@ -328,6 +328,12 @@ class TestIntegrabilityScan:
         with pytest.raises(ValueError):
             spherical_integrability_scan(unit_weight(2), None, (0.0, 0.5))
 
+    def test_mean_past_the_float_range_is_infinite(self):
+        # q(t) = t^-2 overflows at t = 1e-200
+        scan = spherical_integrability_scan(power_weight(2), None, (0.5, 1e-200))
+        assert scan.means == (math.inf, 4.0)
+        assert scan.finite == (False, True)
+
 
 class TestReportAndRegistry:
     def test_dilatation_report_fields(self):
@@ -341,13 +347,19 @@ class TestReportAndRegistry:
         assert f(0.3 + 0.4j) == 0.3 + 0.4j
         assert radii == ()
         f, radii = named_map("example3", alpha=0.5, k=10.0)
-        assert radii == (0.625,)
+        assert radii == (0.625, 1.0)
         f, radii = named_map("example4")
         assert radii == (pytest.approx(math.exp(-0.5)),)
         f, radii = named_map("example2", m=2.0)
         assert f(0.0) == 0.0
         with pytest.raises(ValueError):
             named_map("nonsense")
+
+    @pytest.mark.parametrize("k", [math.inf, 10.0, 1.0])
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_named_map_branch_radii_are_the_jump_circles(self, name, k):
+        _, radii = named_map(name, alpha=0.5, k=k)
+        assert radii == FAMILIES[name].jump_radii(0.5, k)
 
 
 FAMILY_ALPHA = 0.5

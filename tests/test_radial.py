@@ -97,6 +97,12 @@ class TestProfiles:
         for r in np.linspace(0.05, 1.0, 20):
             assert num.value(float(r)) == pytest.approx(ref.value(float(r)), abs=1e-8)
 
+    def test_numeric_derivative_takes_the_outer_branch_at_a_jump(self):
+        # the weight's own value at the cut 1/m is the inner branch's 1
+        num = NumericProfile(truncated_power_weight(2, 2.0))
+        ref = Example2Profile(2, 2.0)
+        assert num.derivative(0.5) == pytest.approx(ref.derivative(0.5), rel=1e-12)
+
     def test_numeric_inverse_below_node_floor(self, monkeypatch):
         # below the node floor each bisection step integrates only up to
         # the nearest radius already integrated, not from scratch

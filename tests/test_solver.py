@@ -414,7 +414,7 @@ class TestTruncationScheme:
         )
         assert len(run.per_k) == 2
         assert run.KIp_integrals[0] < run.KIp_integrals[1]
-        assert run.bound_M is None and run.bound_ok is None
+        assert run.bound_ok is None
         assert len(run.pairwise_sup_dist) == 1
         assert run.pairwise_sup_dist[0] > 0.0
 
