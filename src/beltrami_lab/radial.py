@@ -311,7 +311,9 @@ class NumericProfile(RadialProfile):
     Suffix integrals down from r = 1 are cached at a fixed node set; an
     evaluation at arbitrary r adds one short quadrature from r to the next
     node, so values agree with a from-scratch quadrature to the working
-    tolerance and the profile is strictly increasing by construction.
+    tolerance and the profile is strictly increasing by construction.  The
+    inverse brackets its root between two nodes, or two descent radii below
+    the floor, and refines it by Newton steps with rho' = g rho.
     """
 
     # tolerance of every generating quadrature
@@ -392,7 +394,10 @@ class NumericProfile(RadialProfile):
             raise ValueError(f"value {s!r} outside the profile range")
         s = min(float(s), 1.0)
         if s >= self.value(_R_FLOOR):
-            return _monotone_root(self.value, _R_FLOOR, 1.0, s)
+            # rho at node i is exp(-tails[i]); every listed jump above the
+            # floor is a node, so rho is smooth inside the bracket
+            i = max(1, int(np.searchsorted(-self._tails, math.log(s))))
+            return _monotone_root(self.value, self._g, *self._nodes[i - 1:i + 1].tolist(), s)
         # Below the node floor each value integrates only up to the nearest
         # radius this call has already integrated.
         tails = {_R_FLOOR: float(self._tails[0])}
@@ -406,7 +411,7 @@ class NumericProfile(RadialProfile):
         for lo, tail in self._descent():
             tails[lo] = tail
             if s >= _rho(tail):
-                return _monotone_root(value, lo, hi, s)
+                return _monotone_root(value, self._g, lo, hi, s)
             hi = lo
         raise ValueError(f"value {s!r} below the resolvable profile range")
 
@@ -445,27 +450,35 @@ def _rho(tail: float) -> float:
     return 0.0 if tail > 700.0 else math.exp(-tail)
 
 
-def _monotone_root(fn: Callable[[float], float], lo: float, hi: float, target: float) -> float:
-    """Solve fn(r) = target for increasing fn by bisection with a secant
-    polish; terminates at 1e-12 absolute in the radius."""
+def _monotone_root(fn: Callable[[float], float], log_slope: Callable[[float], float],
+                   lo: float, hi: float, target: float) -> float:
+    """Solve fn(r) = target for increasing fn on [lo, hi] by safeguarded
+    Newton steps from the secant point; ``log_slope(r)`` is fn'(r)/fn(r).  A
+    step that leaves the bracket or does not halve the step before it is a
+    bisection.  Stops at a Newton step of 1e-14, taking it at no cost, at a
+    bisection of a bracket 1e-13 wide, or at a value within one ulp of the
+    target, so terminates at 1e-12 absolute in the radius."""
     flo, fhi = fn(lo), fn(hi)
     if target <= flo:
         return lo
     if target >= fhi:
         return hi
+    r, step = lo + (target - flo) * (hi - lo) / (fhi - flo), hi - lo
     for _ in range(80):
-        if hi - lo <= 1e-13:
-            break
-        mid = 0.5 * (lo + hi)
-        fm = fn(mid)
-        if fm < target:
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-    if fhi > flo:
-        r = lo + (target - flo) * (hi - lo) / (fhi - flo)
-        return min(max(r, lo), hi)
-    return 0.5 * (lo + hi)
+        f = fn(r)
+        if abs(f - target) <= math.ulp(target):
+            return r
+        lo, hi = (r, hi) if f < target else (lo, r)
+        d = log_slope(r) * f
+        dr = (target - f) / d if 0.0 < d < math.inf else math.inf
+        if abs(dr) <= 1e-14:
+            return r + dr
+        if not (lo < r + dr < hi and abs(dr) <= 0.5 * step):
+            if hi - lo <= 1e-13:
+                return r
+            dr = 0.5 * (lo + hi) - r
+        r, step = r + dr, abs(dr)
+    return r
 
 
 def radial_stretch_factors(p: RadialProfile, s: float) -> tuple:

@@ -124,9 +124,9 @@ def holder_scan(
     circles of the map's dilatation, where the example maps are least
     regular); the rest are uniform over the compact.  empirical_C is the
     largest product over q_l1^(1/2), q_l1 the weight's mass (nan unless
-    finite).  The scan is deterministic given cfg.seed.  bounded_flag is
-    false only when the maxima at the three finest scales grow
-    monotonically by more than 5% overall.
+    finite and positive).  The scan is deterministic given cfg.seed.
+    bounded_flag is false only when the maxima at the three finest scales
+    grow monotonically by more than 5% overall.
     """
     cfg = cfg or HolderConfig()
     rng = np.random.default_rng(cfg.seed)
@@ -146,7 +146,7 @@ def holder_scan(
     a, b, c = maxima[-3], maxima[-2], maxima[-1]
     growing = c > b > a and c >= 1.05 * a
     top = max(maxima)
-    emp = top / q_l1 ** 0.5 if math.isfinite(q_l1) else math.nan
+    emp = top / q_l1 ** 0.5 if 0.0 < q_l1 < math.inf else math.nan
     return HolderReport(
         per_scale_max_product=tuple(maxima),
         empirical_C=emp,

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beltrami_lab import radial
+from beltrami_lab.dilatation import FAMILIES
 from beltrami_lab.numerics import adaptive_integral_1d, unit_sphere_area
 from beltrami_lab.radial import (
     Example2Profile,
@@ -25,6 +26,44 @@ from beltrami_lab.radial import (
     truncated_power_weight,
     unit_weight,
 )
+
+
+# profiles flat near their range floor: example3-image at alpha 0.01,
+# example4-image and the unit weight's identity profile
+_FLAT_WEIGHTS = [
+    FAMILIES["example3"].image_weight(0.01),
+    FAMILIES["example4"].image_weight(None),
+    unit_weight(2),
+]
+
+
+def _count_quadratures(monkeypatch) -> list:
+    """Record each adaptive_integral_1d call the radial module makes."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return adaptive_integral_1d(*args, **kwargs)
+
+    monkeypatch.setattr(radial, "adaptive_integral_1d", counted)
+    return calls
+
+
+def _bisection_quadratures(p, s: float) -> int:
+    """Quadratures a bisection of p.inverse(s) makes: the descent steps to
+    the bracket, then one per halving down to a 1e-13 bracket."""
+    lo, hi, calls = radial._R_FLOOR, 1.0, 0
+    if s < p.value(lo):
+        hi = lo
+        for lo, tail in p._descent():
+            calls += 1
+            if s >= math.exp(-tail):
+                break
+            hi = lo
+    width = hi - lo
+    while width > 1e-13:
+        width, calls = 0.5 * width, calls + 1
+    return calls
 
 
 class TestProfiles:
@@ -104,8 +143,8 @@ class TestProfiles:
         assert num.derivative(0.5) == pytest.approx(ref.derivative(0.5), rel=1e-12)
 
     def test_numeric_inverse_below_node_floor(self, monkeypatch):
-        # below the node floor each bisection step integrates only up to
-        # the nearest radius already integrated, not from scratch
+        # below the node floor each Newton or bisection step integrates only
+        # up to the nearest radius already integrated, not from scratch
         p = NumericProfile(example1_weight(2))
         evaluations = []
 
@@ -120,6 +159,53 @@ class TestProfiles:
         monkeypatch.undo()
         assert r < 1e-3
         assert abs(p.value(r) - 0.01) <= 1e-12
+
+    @pytest.mark.parametrize("weight", [example1_weight(2), power_weight(3)])
+    def test_numeric_inverse_quadrature_budget(self, weight, monkeypatch):
+        # above the node floor the bracket between two nodes costs no
+        # quadrature and the Newton steps a few; bisecting [1e-3, 1] down to
+        # a 1e-13 bracket takes 44
+        p = NumericProfile(weight)
+        rng = np.random.default_rng(18)
+        targets = rng.uniform(p.value(radial._R_FLOOR), 1.0, 200)
+        calls = _count_quadratures(monkeypatch)
+        for s in targets:
+            calls.clear()
+            r = p.inverse(float(s))
+            assert len(calls) <= 6
+            assert abs(p.value(r) - s) <= 1e-12
+
+    @pytest.mark.parametrize("weight", _FLAT_WEIGHTS)
+    def test_numeric_inverse_never_costs_more_than_bisection(self, weight, monkeypatch):
+        # down to just above the range floor, where these profiles are flat
+        p = NumericProfile(weight)
+        floor = p.range_floor()
+        targets = np.concatenate([
+            np.geomspace(floor * (1.0 + 1e-9), 1.0, 30),
+            np.random.default_rng(1).uniform(floor * (1.0 + 1e-12), p.value(radial._R_FLOOR), 40),
+        ])
+        budgets = [_bisection_quadratures(p, float(s)) for s in targets]
+        calls = _count_quadratures(monkeypatch)
+        for s, budget in zip(targets, budgets):
+            calls.clear()
+            r = p.inverse(float(s))
+            assert len(calls) <= budget
+            assert abs(p.value(r) - s) <= 1e-12
+
+    def test_numeric_inverse_at_nodes(self):
+        # 0.5 is both a node and the weight's jump
+        p = NumericProfile(truncated_power_weight(2, 2.0))
+        assert p.inverse(p.value(0.5)) == pytest.approx(0.5, abs=1e-12)
+        assert p.inverse(1.0) == 1.0
+        assert p.inverse(p.value(radial._R_FLOOR)) == radial._R_FLOOR
+
+    def test_monotone_root_halving_rule_at_a_multiple_root(self):
+        # Newton gains only a factor 4/5 per step at a fifth-order root;
+        # the bisections the halving rule forces reach 1e-12 within the cap
+        root = radial._monotone_root(
+            lambda r: (r - 0.3) ** 5, lambda r: 5.0 / (r - 0.3), 0.0, 1.0, 0.0
+        )
+        assert abs(root - 0.3) <= 1e-12
 
     def test_numeric_descent_stops_before_unlisted_jumps(self):
         # below radius 1.56e-5 a x4 step holds more jumps than example1_weight

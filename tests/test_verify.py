@@ -124,6 +124,11 @@ class TestHolderScan:
             max(rep.per_scale_max_product) / math.sqrt(2.0), rel=1e-12
         )
 
+    @pytest.mark.parametrize("q_l1", [-4.0, 0.0])
+    def test_mass_not_positive_gives_nan(self, q_l1):
+        rep = holder_scan(_identity, q_l1=q_l1)
+        assert isinstance(rep.empirical_C, float) and math.isnan(rep.empirical_C)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             HolderConfig(compact_radius=1.2)
