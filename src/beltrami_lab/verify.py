@@ -55,7 +55,8 @@ class HolderConfig:
         # holder_scan's bounded flag compares the three finest scales
         if len(sc) < 3 or any(b >= a for a, b in zip(sc, sc[1:])):
             raise ValueError("need at least three strictly decreasing scales")
-        if sc[0] >= 2.0 * self.compact_radius or sc[-1] <= 0.0:
+        # one comparison per scale, which a nan scale fails
+        if not all(0.0 < s < 2.0 * self.compact_radius for s in sc):
             raise ValueError("scales must lie in (0, 2 * compact_radius)")
         if self.pairs_per_scale < 1:
             raise ValueError("pairs_per_scale must be positive")

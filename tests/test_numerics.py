@@ -150,6 +150,47 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             QuadratureConfig(abs_tol=0.0)
 
+    @pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_config_rejects_non_finite_tolerances(self, field, value):
+        # a nan tolerance used to pass, and the integrator then refined every
+        # panel to _MAX_DEPTH; the config alone is built here, never run
+        with pytest.raises(ValueError):
+            QuadratureConfig(**{field: value})
+
+    def test_piecewise_cubic_over_many_blocks(self):
+        # 1001 panels span four blocks of the first pass; each panel holds
+        # one cubic, which K15 and G7 integrate exactly, so nothing
+        # is refined
+        n = 1001
+        cuts = [j / n for j in range(1, n)]
+
+        def f(x):
+            j = math.floor(x * n)
+            return (j % 7 - 3.0) * (x - j / n) ** 3 + (j % 5 - 2.0) * x + 1.0
+
+        exact = math.fsum(
+            (j % 7 - 3.0) * (hi - lo) ** 4 / 4.0 + (j % 5 - 2.0) * (hi * hi - lo * lo) / 2.0
+            + (hi - lo)
+            for j, (lo, hi) in enumerate(zip([0.0, *cuts], [*cuts, 1.0]))
+        )
+        res = adaptive_integral_1d(f, 0.0, 1.0, breakpoints=cuts)
+        assert res.value == pytest.approx(exact, abs=1e-13, rel=0)
+        assert res.evaluations == 15 * n
+
+    @pytest.mark.parametrize("bad, first", [({100, 300}, 100), ({300}, 300)])
+    def test_first_nonfinite_panel_is_reported(self, bad, first):
+        # 400 unit panels; the integrand is infinite inside the panels in
+        # ``bad``, and the node reported is the first one of the first such
+        # panel, also when it lies past the first block
+        def f(x):
+            return math.inf if math.floor(x) in bad else 1.0
+
+        with pytest.raises(IntegrandNonFinite) as err:
+            adaptive_integral_1d(f, 0.0, 400.0, breakpoints=range(1, 400))
+        assert first < err.value.x < first + 1
+        assert err.value.x == (first + 0.5) + 0.5 * numerics._NODES[0]
+
     def test_reversed_interval_rejected(self):
         with pytest.raises(ValueError):
             adaptive_integral_1d(lambda x: x, 1.0, 0.0)
@@ -196,6 +237,20 @@ class TestGaussKronrodRule:
         order = np.argsort(numerics._NODES[gauss])
         assert np.max(np.abs(numerics._NODES[gauss][order] - x7)) <= 1e-15
         assert np.max(np.abs(numerics._G7[gauss][order] - w7)) <= 1e-15
+
+    def test_pass_matches_the_rule_panel_by_panel(self):
+        # one pass over many panels gives each panel's plain 15-term sums;
+        # only their summation order differs, hence the ulp-level tolerance
+        edges = np.sort(np.random.default_rng(5).uniform(0.0, 3.0, 600))
+        panels = numerics._gk15(math.exp, edges)
+        assert len(panels) == 599
+        for lo, hi, (v, e) in zip(edges, edges[1:], panels):
+            half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
+            fx = [math.exp(mid + half * x) for x in numerics._NODES]
+            k15 = half * sum(w * y for w, y in zip(numerics._K15, fx))
+            g7 = half * sum(w * y for w, y in zip(numerics._G7, fx))
+            assert v == pytest.approx(k15, rel=1e-14)
+            assert e == pytest.approx(abs(k15 - g7), abs=1e-15 * k15)
 
     def test_kronrod_rule_exact_to_degree_22(self):
         for k in range(23):

@@ -309,6 +309,20 @@ class TestLehtoIntegral:
         assert res.value == pytest.approx(exact, abs=1e-10, rel=0)
         assert res.evaluations <= 15 * (len(jumps) + 64)
 
+    def test_example1_deep_jumps_evaluation_count(self):
+        # the same split: the integrand is called once per counted evaluation
+        w = example1_weight(2)
+        g = w.lehto_integrand()
+        calls = 0
+
+        def counted(t):
+            nonlocal calls
+            calls += 1
+            return g(t)
+
+        res = adaptive_integral_1d(counted, 1e-4, 1.0, breakpoints=w.breakpoints(1e-4, 1.0))
+        assert calls == res.evaluations
+
 
 class TestModulus:
     def test_planar_ring(self):

@@ -139,6 +139,17 @@ class TestHolderScan:
         with pytest.raises(ValueError):
             HolderConfig(pairs_per_scale=0)
 
+    @pytest.mark.parametrize("scales", [
+        (math.nan, 0.125, 0.0625),
+        (0.25, 0.125, math.nan, 0.03125),
+        (0.25, 0.125, math.nan),
+    ])
+    def test_nan_scale_rejected(self, scales):
+        # every comparison with nan is false, so a nan scale used to pass the
+        # order and range checks and scan to a 0.0 product
+        with pytest.raises(ValueError):
+            HolderConfig(dyadic_scales=scales, pairs_per_scale=50)
+
     def test_r0_is_the_distance_to_the_circle(self):
         assert HolderConfig().r0 == 0.25
         assert HolderConfig(compact_radius=0.6).r0 == 0.4
