@@ -332,7 +332,9 @@ def parse_config(argv: list) -> argparse.Namespace:
             return build(*args, **kwargs)
         except (ValueError, OSError) as exc:
             errors.append(f"{flag}: {exc}")
-            return None
+        except ArithmeticError as exc:  # e.g. a weight overflowing at a profile node
+            errors.append(f"{flag}: {exc!r}")
+        return None
 
     if cmd in ("solve", "truncate", "dilatation"):
         obj["spec"] = check("--mu/--alpha", _parse_mu, cfg.mu, cfg.alpha)

@@ -167,10 +167,12 @@ class QuadratureConfig:
             raise ValueError("quadrature tolerances must be positive and finite")
 
 
-# Halvings after which adaptive_integral_1d stops refining a panel, and
-# the number of initial panels it evaluates in one pass
+# Halvings after which adaptive_integral_1d stops refining a panel, the
+# number of initial panels it evaluates in one pass, and the panels one
+# call may evaluate before it gives up
 _MAX_DEPTH = 48
 _BLOCK = 256
+_MAX_PANELS = 2**18
 
 
 class QuadratureResult(NamedTuple):
@@ -180,7 +182,8 @@ class QuadratureResult(NamedTuple):
 
 
 class QuadratureNonConvergence(RuntimeError):
-    """Raised when the refinement depth is exhausted; carries the partial estimate."""
+    """Raised when the refinement depth or the panel budget is exhausted;
+    carries the partial estimate."""
 
     def __init__(self, estimate: float, error_bound: float, evaluations: int):
         super().__init__(
@@ -264,8 +267,9 @@ def adaptive_integral_1d(
     panel-by-panel pass would meet first.  Subdivision proceeds worst
     interval first until the summed error estimate is below
     ``max(abs_tol, rel_tol*|value|)``.  When every offending interval has
-    reached ``_MAX_DEPTH`` halvings, :class:`QuadratureNonConvergence` is
-    raised carrying the partial estimate.
+    reached ``_MAX_DEPTH`` halvings, or the call has evaluated more than
+    ``_MAX_PANELS`` panels, :class:`QuadratureNonConvergence` is raised
+    carrying the partial estimate.
     """
     cfg = cfg or QuadratureConfig()
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -288,7 +292,8 @@ def adaptive_integral_1d(
     parked_err = 0.0
     while True:
         tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
-        if err <= tol or not heap or parked_err > tol:
+        spent = evals > 15 * _MAX_PANELS
+        if err <= tol or not heap or parked_err > tol or spent:
             # The running sums carry rounding; recount them exactly before
             # returning or giving up.  Once the parked error alone exceeds
             # the tolerance, refining the rest cannot recover.
@@ -297,7 +302,7 @@ def adaptive_integral_1d(
             tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
             if err <= tol:
                 return QuadratureResult(total, err, evals)
-            if not heap or parked_err > tol:
+            if not heap or parked_err > tol or spent:
                 raise QuadratureNonConvergence(total, err, evals)
         panel = heapq.heappop(heap)
         neg_e, _, lo, hi, v, depth = panel

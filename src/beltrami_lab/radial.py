@@ -9,7 +9,9 @@ numerically from a radial weight q through
     rho(r) = exp( - integral_r^1 dt / (t * q(t)^(1/(n-1))) ).
 
 The generating integral is the Lehto integral; its divergence as r -> 0 is
-what the degeneracy scans in :mod:`beltrami_lab.verify` probe.  Weights and
+what the degeneracy scans in :mod:`beltrami_lab.verify` probe.  A numeric
+profile integrates it once per segment between cached nodes, which reach
+from r = 1 toward 0 and include every jump the weight lists.  Weights and
 profiles live in any dimension n >= 2; spherical means are planar, averages
 over circles about a point.
 """
@@ -299,7 +301,7 @@ class Example2Profile(RadialProfile):
         return 0.0 if self._cut > 0.0 else math.exp(-self._a)
 
 
-# NumericProfile caches its suffix integrals at nodes down to this radius
+# NumericProfile's fixed nodes reach down to this radius; descent nodes go deeper
 _R_FLOOR = 1e-3
 # NumericProfile descends below _R_FLOOR in steps of 4 until under this
 _R_MIN = 1e-9
@@ -308,12 +310,14 @@ _R_MIN = 1e-9
 class NumericProfile(RadialProfile):
     """Profile generated from a weight by quadrature of the Lehto integrand.
 
-    Suffix integrals down from r = 1 are cached at a fixed node set; an
-    evaluation at arbitrary r adds one short quadrature from r to the next
-    node, so values agree with a from-scratch quadrature to the working
-    tolerance and the profile is strictly increasing by construction.  The
-    inverse brackets its root between two nodes, or two descent radii below
-    the floor, and refines it by Newton steps with rho' = g rho.
+    Suffix integrals down from r = 1 are cached at nodes: a fixed set down
+    to _R_FLOOR, then descent radii a factor 4 apart, added on demand, and
+    at every depth each jump the weight lists.  Each segment is integrated
+    once; an evaluation at arbitrary r adds one short quadrature from r to
+    the next node, so values agree with a from-scratch quadrature to the
+    working tolerance and the profile is strictly increasing by
+    construction.  The inverse brackets its root between two nodes, where
+    rho is smooth, and refines it by Newton steps with rho' = g rho.
     """
 
     # tolerance of every generating quadrature
@@ -323,26 +327,44 @@ class NumericProfile(RadialProfile):
         self.n = weight.n
         self.weight = weight
         self._g = weight.lehto_integrand()
+        self.kink_radii = weight.breakpoints(_R_FLOOR, 1.0)
         lo_part = np.geomspace(_R_FLOOR, 0.1, 49)
-        hi_part = np.linspace(0.1, 1.0, 181)
-        nodes = set(np.concatenate([lo_part, hi_part]).tolist())
-        nodes.update(weight.breakpoints(_R_FLOOR, 1.0))
-        self._nodes = np.array(sorted(nodes))
-        segs = []
-        for lo, hi in zip(self._nodes[:-1], self._nodes[1:]):
-            res = adaptive_integral_1d(
-                self._g, lo, hi, self.QUAD, breakpoints=weight.breakpoints(lo, hi)
-            )
-            segs.append(res.value)
-        segs = np.array(segs)
-        if np.any(segs <= 0.0):
+        hi_part = np.linspace(0.1, 1.0, 180, endpoint=False)
+        # the cache starts at r = 1, where the tail is 0, and grows downward
+        self._nodes, self._tails = np.array([1.0]), np.array([0.0])
+        self._deepest = False
+        self._extend({*lo_part.tolist(), *hi_part.tolist(), *self.kink_radii})
+        if np.any(np.diff(self._tails) >= 0.0):
             raise ValueError(
                 "weight is infinite on a whole segment; profile would not be "
                 "strictly increasing"
             )
-        # suffix sums: tail[i] = integral from node i to 1
-        self._tails = np.concatenate([np.cumsum(segs[::-1])[::-1], [0.0]])
-        self.kink_radii = tuple(weight.breakpoints(_R_FLOOR, 1.0))
+
+    def _extend(self, radii) -> None:
+        """Prepend ``radii``, all below the lowest node, to the cache, with
+        tail[i] = integral from node i to 1 summed segment by segment."""
+        radii = sorted(radii, reverse=True)
+        tails, hi = [float(self._tails[0])], float(self._nodes[0])
+        for lo in radii:
+            tails.append(self._tail_from(lo, hi, tails[-1]))
+            hi = lo
+        self._nodes = np.concatenate([radii[::-1], self._nodes])
+        self._tails = np.concatenate([tails[:0:-1], self._tails])
+
+    def _deepen(self) -> bool:
+        """Extend the cache by one descent step, to a quarter of the lowest
+        node.  False once the descent has ended: at a lowest node under
+        _R_MIN, or before a step that lists _MAX_JUMPS or more jumps of the
+        weight, past which adaptive splitting would have to find the
+        remaining jumps one at a time."""
+        hi = float(self._nodes[0])
+        if not self._deepest and hi >= _R_MIN:
+            jumps = self.weight.breakpoints(0.25 * hi, hi)
+            if len(jumps) < _MAX_JUMPS:
+                self._extend([0.25 * hi, *jumps])
+                return True
+        self._deepest = True
+        return False
 
     def _tail_from(self, r: float, node: float, tail: float) -> float:
         """integral_r^1 of the generating integrand, given its value ``tail``
@@ -363,6 +385,8 @@ class NumericProfile(RadialProfile):
         """rho(r), reported as 0 where the generating integral overflows."""
         self._check_radius(r)
         r = min(float(r), 1.0)
+        while r < self._nodes[0] and self._deepen():
+            pass
         i = int(np.searchsorted(self._nodes, r, side="left"))
         return _rho(self._tail_from(r, float(self._nodes[i]), float(self._tails[i])))
 
@@ -374,53 +398,22 @@ class NumericProfile(RadialProfile):
         t = up if self.weight.breakpoints(math.nextafter(r, 0.0), up) else r
         return self._g(t) * self.value(r)
 
-    def _descent(self):
-        """(r, integral_r^1) for r = _R_FLOOR/4, _R_FLOOR/16, ..., each
-        integrated from the radius before, down to the first r under _R_MIN.
-        It stops early before a step whose interval lists _MAX_JUMPS or more
-        jumps of the weight: past those, adaptive splitting would have to
-        find the remaining jumps one at a time."""
-        hi, tail = _R_FLOOR, float(self._tails[0])
-        while hi >= _R_MIN:
-            lo = 0.25 * hi
-            if len(self.weight.breakpoints(lo, hi)) >= _MAX_JUMPS:
-                return
-            tail = self._tail_from(lo, hi, tail)
-            yield lo, tail
-            hi = lo
-
     def inverse(self, s: float) -> float:
         if not (0.0 < s <= 1.0 + 1e-12):
             raise ValueError(f"value {s!r} outside the profile range")
         s = min(float(s), 1.0)
-        if s >= self.value(_R_FLOOR):
-            # rho at node i is exp(-tails[i]); every listed jump above the
-            # floor is a node, so rho is smooth inside the bracket
-            i = max(1, int(np.searchsorted(-self._tails, math.log(s))))
-            return _monotone_root(self.value, self._g, *self._nodes[i - 1:i + 1].tolist(), s)
-        # Below the node floor each value integrates only up to the nearest
-        # radius this call has already integrated.
-        tails = {_R_FLOOR: float(self._tails[0])}
-
-        def value(r: float) -> float:
-            node = min(t for t in tails if t >= r)
-            tails[r] = tail = self._tail_from(r, node, tails[node])
-            return _rho(tail)
-
-        hi = _R_FLOOR
-        for lo, tail in self._descent():
-            tails[lo] = tail
-            if s >= _rho(tail):
-                return _monotone_root(value, self._g, lo, hi, s)
-            hi = lo
-        raise ValueError(f"value {s!r} below the resolvable profile range")
+        while s < _rho(float(self._tails[0])):
+            if not self._deepen():
+                raise ValueError(f"value {s!r} below the resolvable profile range")
+        # rho at node i is exp(-tails[i]); no listed jump lies between nodes
+        i = max(1, int(np.searchsorted(-self._tails, math.log(s))))
+        return _monotone_root(self.value, self._g, *self._nodes[i - 1:i + 1].tolist(), s)
 
     def range_floor(self) -> float:
-        """rho at the deepest radius :meth:`inverse` brackets with."""
-        tail = float(self._tails[0])
-        for _, tail in self._descent():
+        """rho at the deepest node, where the descent ends."""
+        while self._deepen():
             pass
-        return _rho(tail)
+        return _rho(float(self._tails[0]))
 
 
 class InverseProfile(RadialProfile):

@@ -145,6 +145,14 @@ class TestParseConfig:
         assert main(argv) == 2
         assert argv[-2] in capsys.readouterr().err
 
+    def test_weight_overflowing_at_a_profile_node_exits_2(self, capsys):
+        # q(t) = t^-103 overflows at the profile's 1e-3 node while the
+        # profile is built from --weight, which is then the flag to blame
+        assert main(["radial", "--profile", "numeric", "--n", "103", "--pairs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "--weight" in err
+        assert "Traceback" not in err
+
     def test_image_weight_checks_alpha(self):
         with pytest.raises(ConfigError, match="--weight"):
             parse_config(["radial", "--profile", "numeric", "--weight", "example3-image",

@@ -138,6 +138,15 @@ class TestQuadrature:
         assert math.isfinite(err.value.estimate)
         assert err.value.evaluations > 0
 
+    def test_panel_budget_stops_unlisted_jumps(self, monkeypatch):
+        # floor(1/x) jumps infinitely often toward 0 and no breakpoint lists
+        # them, so refinement would split them out one at a time without end
+        monkeypatch.setattr(numerics, "_MAX_PANELS", 1000)
+        with pytest.raises(QuadratureNonConvergence) as err:
+            adaptive_integral_1d(lambda x: float(math.floor(1.0 / x) % 2), 1e-6, 1.0)
+        assert 15 * 1000 < err.value.evaluations <= 15 * 1002
+        assert 0.0 < err.value.estimate < 1.0
+
     def test_nonfinite_integrand_flagged(self):
         def bad(x):
             return math.inf if 0.4 < x < 0.6 else 1.0

@@ -51,15 +51,14 @@ def _count_quadratures(monkeypatch) -> list:
 
 def _bisection_quadratures(p, s: float) -> int:
     """Quadratures a bisection of p.inverse(s) makes: the descent steps to
-    the bracket, then one per halving down to a 1e-13 bracket."""
+    the bracket, then one per halving down to a 1e-13 bracket.  The descent
+    is stepped on a second profile of the same weight, so p's cache is left
+    as it was."""
     lo, hi, calls = radial._R_FLOOR, 1.0, 0
     if s < p.value(lo):
-        hi = lo
-        for lo, tail in p._descent():
-            calls += 1
-            if s >= math.exp(-tail):
-                break
-            hi = lo
+        ref = NumericProfile(p.weight)
+        while s < ref.value(lo):
+            hi, lo, calls = lo, 0.25 * lo, calls + 1
     width = hi - lo
     while width > 1e-13:
         width, calls = 0.5 * width, calls + 1
@@ -143,8 +142,9 @@ class TestProfiles:
         assert num.derivative(0.5) == pytest.approx(ref.derivative(0.5), rel=1e-12)
 
     def test_numeric_inverse_below_node_floor(self, monkeypatch):
-        # below the node floor each Newton or bisection step integrates only
-        # up to the nearest radius already integrated, not from scratch
+        # below the node floor the descent is integrated once, with every
+        # listed jump as a node, so each Newton step integrates only inside
+        # one jump-free bracket, not from scratch
         p = NumericProfile(example1_weight(2))
         evaluations = []
 
@@ -191,6 +191,27 @@ class TestProfiles:
             r = p.inverse(float(s))
             assert len(calls) <= budget
             assert abs(p.value(r) - s) <= 1e-12
+
+    def test_numeric_descent_is_integrated_once(self, monkeypatch):
+        # once range_floor has deepened the node cache, neither it nor an
+        # inverse below the first node floor integrates a descent step again
+        p = NumericProfile(FAMILIES["example3"].image_weight(0.01))
+        floor = p.range_floor()
+        calls = _count_quadratures(monkeypatch)
+        assert p.range_floor() == floor
+        assert calls == []
+        s = 0.5 * (floor + p.value(radial._R_FLOOR))
+        r = p.inverse(s)
+        assert 0 < len(calls) <= 6
+        monkeypatch.undo()
+        assert r < radial._R_FLOOR
+        assert abs(p.value(r) - s) <= 1e-12
+
+    def test_numeric_value_does_not_depend_on_call_order(self):
+        weight = FAMILIES["example3"].image_weight(0.01)
+        deepened = NumericProfile(weight)
+        deepened.range_floor()
+        assert NumericProfile(weight).value(1e-5) == deepened.value(1e-5)
 
     def test_numeric_inverse_at_nodes(self):
         # 0.5 is both a node and the weight's jump
