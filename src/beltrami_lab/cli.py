@@ -13,11 +13,11 @@ Every run writes ``<command>.summary.json`` under --out.  CSV artifacts use
 17 significant digits, '.' decimal separator, ',' field separator, and LF
 line endings; CFLD field dumps are raw little-endian float64 pairs behind a
 two-line ASCII header.  Reruns with identical flags and seed are
-byte-identical (timings live only in the JSON).  The JSON is strict: a
-non-finite float is written as null and listed in the top-level
-"non_finite" map, from its JSON pointer to "nan", "inf" or "-inf".  Exit
-status: 0 all checks passed, 1 a check failed, 2 invalid config or runtime
-error.
+byte-identical (timings live only in the summary's "metrics" block).  The
+JSON is strict: a non-finite float is written as null and listed in the
+top-level "non_finite" map, from its JSON pointer to "nan", "inf" or
+"-inf".  Exit status: 0 all checks passed, 1 a check failed, 2 invalid
+config or runtime error.
 """
 
 from __future__ import annotations
@@ -466,7 +466,8 @@ def _solve_metrics(res: SolveResult) -> dict:
 def _cmd_solve(cfg, spec: MuSpec, solve_cfg: SolveConfig) -> tuple[dict, dict]:
     res = solve_principal(spec, solve_cfg)
     rep = res.residual
-    metrics = {**_solve_metrics(res), "threads": thread_count()}
+    metrics = {**_solve_metrics(res), "threads": thread_count(),
+               "solve_seconds": res.solve_seconds}
     sup_mu = metrics["sup_mu"]
     threshold = K_mu(sup_mu) * res.f.grid.dx
     results = {
@@ -477,7 +478,6 @@ def _cmd_solve(cfg, spec: MuSpec, solve_cfg: SolveConfig) -> tuple[dict, dict]:
         "worst_point": [rep.worst_point.real, rep.worst_point.imag],
         "mean_term": [res.mean_term.real, res.mean_term.imag],
         "sup_mu_sampled": sup_mu,
-        "solve_seconds": res.solve_seconds,
     }
     checks = {"residual_below_tol": _check(rep.linf <= threshold, rep.linf, threshold)}
     if cfg.dump_fields:

@@ -124,9 +124,6 @@ def _example1_phi(t: float, n: int) -> float:
 # memory; every scan, profile and the r = 1e-4 Lehto integral stay below it,
 # and NumericProfile descends below its node floor only while they do.
 _MAX_JUMPS = 2**16
-# Jumps listed for an interval reaching 0, which holds infinitely many.  The
-# rest are left to adaptive splitting; each listed one is a panel.
-_ZERO_PREFIX_JUMPS = 64
 
 
 def example1_weight(n: int = 2) -> RadialWeight:
@@ -137,14 +134,13 @@ def example1_weight(n: int = 2) -> RadialWeight:
     a harmonic-type series over the annuli.
     """
 
-    def breakpoints(a: float, b: float, _n: int = n) -> tuple:
+    def breakpoints(a: float, b: float) -> tuple:
         if b <= a or b <= 0.0:
             return ()
+        if a <= 0.0:
+            raise ValueError("an interval reaching 0 holds infinitely many jumps")
         j_lo = max(2, math.ceil(1.0 / b))
-        if a > 0.0:
-            j_hi = min(j_lo + _MAX_JUMPS, math.floor(1.0 / a))
-        else:
-            j_hi = j_lo + _ZERO_PREFIX_JUMPS
+        j_hi = min(j_lo + _MAX_JUMPS, math.floor(1.0 / a))
         return tuple(
             1.0 / j for j in range(j_lo, j_hi + 1) if a < 1.0 / j < b
         )
@@ -368,12 +364,10 @@ class NumericProfile(RadialProfile):
 
     def _tail_from(self, r: float, node: float, tail: float) -> float:
         """integral_r^1 of the generating integrand, given its value ``tail``
-        at a radius ``node`` >= r; inf where the integral overflows."""
+        at a node >= r (no listed jump lies between); inf on overflow."""
         if node > r:
             try:
-                res = adaptive_integral_1d(
-                    self._g, r, node, self.QUAD, breakpoints=self.weight.breakpoints(r, node)
-                )
+                res = adaptive_integral_1d(self._g, r, node, self.QUAD)
             except QuadratureNonConvergence as exc:
                 if exc.estimate > 50.0:
                     return math.inf
@@ -382,11 +376,14 @@ class NumericProfile(RadialProfile):
         return tail
 
     def value(self, r: float) -> float:
-        """rho(r), reported as 0 where the generating integral overflows."""
+        """rho(r), reported as 0 where the generating integral overflows, on
+        the domain [deepest node, 1]: below where the descent ends (rho there
+        is range_floor()) it raises ValueError."""
         self._check_radius(r)
         r = min(float(r), 1.0)
-        while r < self._nodes[0] and self._deepen():
-            pass
+        while r < self._nodes[0]:
+            if not self._deepen():
+                raise ValueError(f"radius {r!r} below the resolvable profile range")
         i = int(np.searchsorted(self._nodes, r, side="left"))
         return _rho(self._tail_from(r, float(self._nodes[i]), float(self._tails[i])))
 

@@ -155,27 +155,22 @@ def _symbol(shape: tuple, dx: float, dy: float, kind: str) -> np.ndarray:
     return sym
 
 
-def _apply_multiplier(
-    buf: np.ndarray, data: np.ndarray, grid: GridSpec, kind: str, overwrite: bool
-) -> np.ndarray:
-    """Multiplier `kind` applied to data on the torus of buf's shape, with
-    the sample spacing of grid.
-
-    data is written into the corner of buf, which must be zero elsewhere;
-    buf stays that way for reuse unless overwrite is set.  Returns the
+def _apply_multiplier(data: np.ndarray, shape: tuple, grid: GridSpec,
+                      kind: str) -> np.ndarray:
+    """Multiplier `kind` applied to data, zero-padded in one corner of a
+    torus of `shape` samples with the sample spacing of grid.  Returns the
     data-shaped corner of the result, a view."""
     ny, nx = data.shape
-    buf[:ny, :nx] = data
     workers = thread_count()
-    spec = sfft.fft2(buf, workers=workers, overwrite_x=overwrite)
-    spec *= _symbol(buf.shape, grid.dx, grid.dy, kind)
+    spec = sfft.fft2(data, s=shape, workers=workers)
+    spec *= _symbol(shape, grid.dx, grid.dy, kind)
     return sfft.ifft2(spec, workers=workers, overwrite_x=True)[:ny, :nx]
 
 
 def _padded_transform(data: np.ndarray, grid: GridSpec, kind: str) -> np.ndarray:
     """Multiplier `kind` on the grid zero-padded to twice its side."""
-    buf = np.zeros((2 * grid.ny, 2 * grid.nx), dtype=np.complex128)
-    return np.ascontiguousarray(_apply_multiplier(buf, data, grid, kind, overwrite=True))
+    shape = (2 * grid.ny, 2 * grid.nx)
+    return np.ascontiguousarray(_apply_multiplier(data, shape, grid, kind))
 
 
 def _torus_mean(h: ComplexField) -> complex:
@@ -309,9 +304,10 @@ class ResidualReport:
 
 @dataclass
 class SolveResult:
+    """A principal solution f and the residual of its finite-difference
+    derivatives, which are not kept: wirtinger_derivatives(res.f)."""
+
     f: ComplexField
-    f_z: ComplexField
-    f_zbar: ComplexField
     residual: ResidualReport
     mu_field: ComplexField
     mean_term: complex
@@ -392,7 +388,6 @@ def _fixed_point(mu: np.ndarray, x: np.ndarray, y: np.ndarray, grid: GridSpec,
     plus the three lattice terms of the torus kernel (see the module
     docstring)."""
     side = sfft.next_fast_len(math.ceil(TORUS_FACTOR * max(mu.shape)))
-    buf = np.zeros((side, side), dtype=np.complex128)
     period = side * grid.dx
     terms = tuple((c / (math.pi * period ** (2 * k)), 2 * k - 2)
                   for k, c in _laurent_coefficients())
@@ -401,7 +396,7 @@ def _fixed_point(mu: np.ndarray, x: np.ndarray, y: np.ndarray, grid: GridSpec,
     h = mu.copy()
     updates: list[float] = []
     for _ in range(cfg.max_iter):
-        s_h = _apply_multiplier(buf, h, grid, "beurling", overwrite=False)
+        s_h = _apply_multiplier(h, (side, side), grid, "beurling")
         s_h += remainder(h)
         h_new = mu * s_h + mu
         delta = float(np.linalg.norm(h_new - h)) * weight
@@ -441,12 +436,9 @@ def solve_principal(mu: MuSpec, cfg: SolveConfig | None = None) -> SolveResult:
     f = ComplexField(grid, grid.zz() + cauchy_transform(h_field).data)
     if not converged:
         raise SolveNonConvergence(len(updates), updates[-1], f)
-    f_z, f_zbar = wirtinger_derivatives(f)
     return SolveResult(
         f=f,
-        f_z=f_z,
-        f_zbar=f_zbar,
-        residual=residual_report(mu, mu_data, f_z, f_zbar),
+        residual=residual_report(mu, mu_data, *wirtinger_derivatives(f)),
         mu_field=ComplexField(grid, mu_data),
         mean_term=_torus_mean(h_field),
         updates=updates,
@@ -496,7 +488,8 @@ def grid_kip_integral(res: SolveResult, order_p: float) -> float:
     check_order_p(order_p)
     grid = res.f.grid
     w = _disk_cell_weights(grid)
-    norm = np.abs(res.f_z.data) + np.abs(res.f_zbar.data)
+    f_z, f_zbar = wirtinger_derivatives(res.f)
+    norm = np.abs(f_z.data) + np.abs(f_zbar.data)
     return float(np.sum(norm**order_p * w) * grid.cell_area)
 
 

@@ -352,6 +352,18 @@ class TestSolveCommand:
         assert met["torus_side"] >= 1 and met["threads"] >= 1
         assert not set(met) & set(res)
 
+    def test_timing_lives_in_metrics_so_results_rerun_equal(self, tmp_path):
+        docs = []
+        for run in ("a", "b"):
+            out = str(tmp_path / run)
+            assert main(["solve", "--mu", "const:0.3", "--grid", "64", "--out", out,
+                         "--no-dump"]) == 0
+            docs.append(_read_json(os.path.join(out, "solve.summary.json")))
+        for doc in docs:
+            assert doc["metrics"]["solve_seconds"] > 0.0
+            assert "solve_seconds" not in doc["results"]
+        assert docs[0]["results"] == docs[1]["results"]
+
     def test_out_dir_collision_exits_2(self, tmp_path, capsys):
         blocker = tmp_path / "occupied"
         blocker.write_text("a file, not a directory")

@@ -231,7 +231,7 @@ class TestProfiles:
     def test_numeric_descent_stops_before_unlisted_jumps(self):
         # below radius 1.56e-5 a x4 step holds more jumps than example1_weight
         # lists; the descent stops there instead of splitting them out one by
-        # one, so both calls finish within a budget of integrand calls
+        # one, so all three calls finish within a budget of integrand calls
         w = example1_weight(2)
         calls = [0]
 
@@ -251,6 +251,10 @@ class TestProfiles:
         calls[0] = 0
         with pytest.raises(ValueError, match="below the resolvable profile range"):
             p.inverse(2e-3)
+        # a radius below the deepest node lies outside the profile's domain
+        calls[0] = 0
+        with pytest.raises(ValueError, match="below the resolvable profile range"):
+            p.value(1e-7)
 
     def test_inverse_profile_wraps_base(self):
         base = Example2Profile(2, 2.0)
@@ -295,6 +299,13 @@ class TestWeightsAndMeans:
         assert w.q(0.4) == pytest.approx(1.0, rel=1e-12)
         assert w.q(0.3) == pytest.approx(0.3**-2, rel=1e-12)
         assert w.q(0.22) == pytest.approx(1.0, rel=1e-12)
+
+    def test_example1_breakpoints_reject_intervals_reaching_zero(self):
+        # (0, b) holds infinitely many jumps, so no finite list covers it
+        w = example1_weight(2)
+        with pytest.raises(ValueError, match="infinitely many jumps"):
+            w.breakpoints(0.0, 0.5)
+        assert w.breakpoints(0.2, 0.5) == (1 / 3, 1 / 4)
 
 
 class TestLehtoIntegral:

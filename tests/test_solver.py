@@ -164,7 +164,7 @@ class TestSolvePrincipal:
         assert err < 5e-3
         rep = res.residual
         assert rep == residual_report(MuSpec.constant(c), res.mu_field.data,
-                                      res.f_z, res.f_zbar)
+                                      *wirtinger_derivatives(res.f))
         assert rep.linf < 2e-2
         assert abs(rep.worst_point) <= 0.951
 
@@ -379,7 +379,8 @@ class TestSolvePrincipal:
         zz = cfg.grid.zz()
         h = cfg.grid.dx
         mask = (np.abs(zz) <= 0.9) & (np.abs(np.abs(zz) - 0.625) > 2.0 * h)
-        jac = np.abs(res.f_z.data) ** 2 - np.abs(res.f_zbar.data) ** 2
+        fz, fzb = wirtinger_derivatives(res.f)
+        jac = np.abs(fz.data) ** 2 - np.abs(fzb.data) ** 2
         assert np.min(jac[mask]) > 0.0
 
     def test_sup_distance_symmetric(self):
@@ -417,6 +418,17 @@ class TestTruncationScheme:
         assert run.bound_ok is None
         assert len(run.pairwise_sup_dist) == 1
         assert run.pairwise_sup_dist[0] > 0.0
+
+    def test_levels_hold_one_copy_of_each_field(self):
+        # a level keeps f and its mu samples; the derivatives of f are
+        # taken from f where needed, not stored beside it
+        run = truncation_scheme(
+            MuSpec.example4(), (4.0, 8.0, 16.0), 1.5,
+            SolveConfig(grid=GridSpec.square(128, 2.0)),
+        )
+        for res in run.per_k:
+            fields = [k for k, v in vars(res).items() if isinstance(v, ComplexField)]
+            assert fields == ["f", "mu_field"]
 
     def test_bound_checked(self):
         run = truncation_scheme(

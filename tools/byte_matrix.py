@@ -7,11 +7,11 @@ in a checkout).  Every command runs in-process through ``cli.main`` with
 ``BELTRAMI_LAB_THREADS=2``, each in its own output directory under a
 temporary directory that is removed afterwards.  A line holds the command,
 its exit code and the first 12 hex digits of the sha256 of each output
-file; ``summary`` hashes the sorted-key JSON of the summary's ``results``
-(without ``solve_seconds``), ``checks``, ``error`` and ``non_finite``.
-FILE is the ``mu.cfld`` of the second command; ``report`` merges the
-summaries of commands 10 and 20.  Two checkouts give the same bytes when
-their outputs are identical, so comparing them is one ``diff``.
+file; ``summary`` hashes the sorted-key JSON of the summary's ``results``,
+``checks``, ``error`` and ``non_finite``.  FILE is the ``mu.cfld`` of the
+second command; ``report`` merges the summaries of commands 1, 10 and 20.
+Two checkouts give the same bytes when their outputs are identical, so
+comparing them is one ``diff``.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ MATRIX = (
     "radial --profile numeric --weight example3-image --alpha 0.01 --pairs 2",
 )
 # commands (1-based) whose summaries the closing report merges
-REPORTED = (10, 20)
+REPORTED = (1, 10, 20)
 
 
 def _digest(data: bytes) -> str:
@@ -68,9 +68,7 @@ def _digest(data: bytes) -> str:
 def _summary_digest(path: str) -> str:
     with open(path) as fh:
         doc = json.load(fh)
-    results = dict(doc.get("results", {}))
-    results.pop("solve_seconds", None)
-    kept = {"results": results, "checks": doc.get("checks"),
+    kept = {"results": doc.get("results", {}), "checks": doc.get("checks"),
             "error": doc.get("error"), "non_finite": doc.get("non_finite")}
     return _digest(json.dumps(kept, sort_keys=True).encode())
 
@@ -115,8 +113,8 @@ def main(argv: list) -> int:
                 if name.endswith(".summary.json"):
                     shutil.copy(os.path.join(dirs[i - 1], name), report)
         code = _quiet(cli.main, ["report", "--out", report])
-        print(f"report (m{REPORTED[0]} + m{REPORTED[1]} summaries) exit={code} "
-              f"{_describe(report, 'report')}")
+        merged = " + ".join(f"m{i}" for i in REPORTED)
+        print(f"report ({merged} summaries) exit={code} {_describe(report, 'report')}")
     finally:
         shutil.rmtree(work, ignore_errors=True)
     return 0
