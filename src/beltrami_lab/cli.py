@@ -476,7 +476,6 @@ def _cmd_solve(cfg, spec: MuSpec, solve_cfg: SolveConfig) -> tuple[dict, dict]:
         "residual_linf": rep.linf,
         "residual_l2": rep.l2,
         "worst_point": [rep.worst_point.real, rep.worst_point.imag],
-        "mean_term": [res.mean_term.real, res.mean_term.imag],
         "sup_mu_sampled": sup_mu,
     }
     checks = {"residual_below_tol": _check(rep.linf <= threshold, rep.linf, threshold)}

@@ -234,7 +234,6 @@ def l1_norm(weight: RadialWeight) -> L1Report:
     terms stay above 5% of the largest term, and the partial sum exceeds 6
     times the largest single term.  At most 40 shells are summed.
     """
-    tol = QuadratureConfig()  # the default each shell is integrated to
     omega = unit_sphere_area(weight.n)
     expn = weight.n - 1.0
 
@@ -262,7 +261,7 @@ def l1_norm(weight: RadialWeight) -> L1Report:
             if c2 <= 0.6 * c1 and c3 <= 0.6 * c2:
                 ratio = 0.0 if c2 == 0.0 else min(c3 / c2, 0.9)
                 tail = c3 * ratio / (1.0 - ratio)
-                if tail <= max(tol.abs_tol, tol.rel_tol * partial):
+                if tail <= QuadratureConfig().tolerance(partial):
                     return L1Report(
                         partial + tail, False, partial, tuple(edges), tuple(terms)
                     )

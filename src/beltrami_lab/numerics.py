@@ -166,6 +166,10 @@ class QuadratureConfig:
         if not (0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf):
             raise ValueError("quadrature tolerances must be positive and finite")
 
+    def tolerance(self, value: float) -> float:
+        """The error allowed on an integral of size ``value``."""
+        return max(self.abs_tol, self.rel_tol * abs(value))
+
 
 # Halvings after which adaptive_integral_1d stops refining a panel, the
 # number of initial panels it evaluates in one pass, and the panels one
@@ -266,7 +270,7 @@ def adaptive_integral_1d(
     in panel order, so the first non-finite node reported is the one a
     panel-by-panel pass would meet first.  Subdivision proceeds worst
     interval first until the summed error estimate is below
-    ``max(abs_tol, rel_tol*|value|)``.  When every offending interval has
+    ``cfg.tolerance(value)``.  When every offending interval has
     reached ``_MAX_DEPTH`` halvings, or the call has evaluated more than
     ``_MAX_PANELS`` panels, :class:`QuadratureNonConvergence` is raised
     carrying the partial estimate.
@@ -291,7 +295,7 @@ def adaptive_integral_1d(
     err = math.fsum(-p[0] for p in heap)
     parked_err = 0.0
     while True:
-        tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
+        tol = cfg.tolerance(total)
         spent = evals > 15 * _MAX_PANELS
         if err <= tol or not heap or parked_err > tol or spent:
             # The running sums carry rounding; recount them exactly before
@@ -299,7 +303,7 @@ def adaptive_integral_1d(
             # the tolerance, refining the rest cannot recover.
             total = math.fsum(p[4] for p in heap + parked)
             err = math.fsum(-p[0] for p in heap + parked)
-            tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
+            tol = cfg.tolerance(total)
             if err <= tol:
                 return QuadratureResult(total, err, evals)
             if not heap or parked_err > tol or spent:

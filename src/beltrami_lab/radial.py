@@ -64,20 +64,18 @@ class RadialWeight:
     """Spherical mean profile r -> q(r) of a nonnegative weight about a center.
 
     ``q`` may return ``math.inf``.  ``breakpoints_in(a, b)`` lists radii in
-    (a, b) where q jumps, so quadrature can split there.
+    (a, b) where q jumps (by default none), so quadrature can split there.
     """
 
     n: int
     q: Callable[[float], float]
-    breakpoints_in: Callable[[float, float], tuple] | None = None
+    breakpoints_in: Callable[[float, float], tuple] = lambda a, b: ()
 
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError("weight dimension must be at least 2")
 
     def breakpoints(self, a: float, b: float) -> tuple:
-        if self.breakpoints_in is None:
-            return ()
         return tuple(self.breakpoints_in(a, b))
 
     def lehto_integrand(self) -> Callable[[float], float]:
@@ -237,9 +235,11 @@ class RadialProfile:
         closed-form profiles."""
         return 0.0
 
-    def _check_radius(self, r: float) -> None:
+    def _check_radius(self, r: float) -> float:
+        """r clamped to 1; ValueError outside (0, 1 + 1e-12]."""
         if not (0.0 < r <= 1.0 + 1e-12):
             raise ValueError(f"profile radius {r!r} outside (0, 1]")
+        return min(float(r), 1.0)
 
 
 class Example2Profile(RadialProfile):
@@ -267,15 +267,13 @@ class Example2Profile(RadialProfile):
         return math.exp(self._a * (r**self._b - 1.0))
 
     def value(self, r: float) -> float:
-        self._check_radius(r)
-        r = min(float(r), 1.0)
+        r = self._check_radius(r)
         if r <= self._cut:
             return self._slope * r
         return self._stretch(r)
 
     def derivative(self, r: float) -> float:
-        self._check_radius(r)
-        r = min(float(r), 1.0)
+        r = self._check_radius(r)
         if r < self._cut:
             return self._slope
         return self._stretch(r) * r ** (self._b - 1.0)
@@ -301,6 +299,8 @@ class Example2Profile(RadialProfile):
 _R_FLOOR = 1e-3
 # NumericProfile descends below _R_FLOOR in steps of 4 until under this
 _R_MIN = 1e-9
+# a generating integral past this is reported as rho = 0 (exp(-700) ~ 1e-304)
+_TAIL_MAX = 700.0
 
 
 class NumericProfile(RadialProfile):
@@ -330,7 +330,9 @@ class NumericProfile(RadialProfile):
         self._nodes, self._tails = np.array([1.0]), np.array([0.0])
         self._deepest = False
         self._extend({*lo_part.tolist(), *hi_part.tolist(), *self.kink_radii})
-        if np.any(np.diff(self._tails) >= 0.0):
+        # rho must increase strictly where it is not reported as 0; tails may be inf
+        tails = self._tails
+        if np.any((tails[1:] >= tails[:-1]) & (tails[:-1] <= _TAIL_MAX)):
             raise ValueError(
                 "weight is infinite on a whole segment; profile would not be "
                 "strictly increasing"
@@ -379,8 +381,7 @@ class NumericProfile(RadialProfile):
         """rho(r), reported as 0 where the generating integral overflows, on
         the domain [deepest node, 1]: below where the descent ends (rho there
         is range_floor()) it raises ValueError."""
-        self._check_radius(r)
-        r = min(float(r), 1.0)
+        r = self._check_radius(r)
         while r < self._nodes[0]:
             if not self._deepen():
                 raise ValueError(f"radius {r!r} below the resolvable profile range")
@@ -388,12 +389,12 @@ class NumericProfile(RadialProfile):
         return _rho(self._tail_from(r, float(self._nodes[i]), float(self._tails[i])))
 
     def derivative(self, r: float) -> float:
-        self._check_radius(r)
-        r = min(float(r), 1.0)
+        r = self._check_radius(r)
+        rho = self.value(r)
         # at a jump of the weight, the integrand just outside it
         up = math.nextafter(r, 2.0)
         t = up if self.weight.breakpoints(math.nextafter(r, 0.0), up) else r
-        return self._g(t) * self.value(r)
+        return self._g(t) * rho
 
     def inverse(self, s: float) -> float:
         if not (0.0 < s <= 1.0 + 1e-12):
@@ -424,20 +425,18 @@ class InverseProfile(RadialProfile):
         self.kink_radii = tuple(base.value(t) for t in base.kink_radii)
 
     def value(self, r: float) -> float:
-        self._check_radius(r)
-        return self.base.inverse(min(float(r), 1.0))
+        return self.base.inverse(self._check_radius(r))
 
     def derivative(self, r: float) -> float:
-        self._check_radius(r)
-        return 1.0 / self.base.derivative(self.base.inverse(min(float(r), 1.0)))
+        return 1.0 / self.base.derivative(self.base.inverse(self._check_radius(r)))
 
     def inverse(self, s: float) -> float:
         return self.base.value(s)
 
 
 def _rho(tail: float) -> float:
-    """exp(-tail), reported as 0 once the tail integral passes 700."""
-    return 0.0 if tail > 700.0 else math.exp(-tail)
+    """exp(-tail), reported as 0 once the tail integral passes _TAIL_MAX."""
+    return 0.0 if tail > _TAIL_MAX else math.exp(-tail)
 
 
 def _monotone_root(fn: Callable[[float], float], log_slope: Callable[[float], float],
@@ -473,8 +472,6 @@ def _monotone_root(fn: Callable[[float], float], log_slope: Callable[[float], fl
 
 def radial_stretch_factors(p: RadialProfile, s: float) -> tuple:
     """(tangential, radial) = (rho(s)/s, rho'(s)) at radius s."""
-    if not (0.0 < s <= 1.0):
-        raise ValueError(f"radius {s!r} outside (0, 1]")
     return p.value(s) / s, p.derivative(s)
 
 

@@ -104,8 +104,8 @@ class ContractionError(ValueError):
 
 
 class SolveNonConvergence(RuntimeError):
-    """Fixed-point iteration hit max_iter; carries the last iterate and its
-    L2 update."""
+    """Fixed-point iteration hit max_iter; carries f built from the last
+    iterate h, and the last L2 update."""
 
     def __init__(self, iterations: int, last_delta: float, partial: ComplexField):
         super().__init__(
@@ -173,11 +173,6 @@ def _padded_transform(data: np.ndarray, grid: GridSpec, kind: str) -> np.ndarray
     return np.ascontiguousarray(_apply_multiplier(data, shape, grid, kind))
 
 
-def _torus_mean(h: ComplexField) -> complex:
-    """Mean of h over the padded torus of the public transforms."""
-    return complex(h.data.sum() / (4 * h.grid.nx * h.grid.ny))
-
-
 def _check_boundary_support(h: ComplexField) -> None:
     d = np.abs(h.data)
     peak = d.max()
@@ -212,10 +207,13 @@ def cauchy_transform(h: ComplexField) -> ComplexField:
     hb, x, y = h.data[rows, cols], xs[cols], ys[rows]
     cubic = G4_SQUARE_LATTICE / (math.pi * (2 * grid.nx * grid.dx) ** 4)
     out += _polynomial_kernel(((cubic, 3),), x, y, grid.cell_area, xs, ys)(hb)
-    # (1/P^2) int (zbar - wbar) h dA, with P^2 the area of the torus
+    # (1/P^2) int (zbar - wbar) h dA, with P^2 the area of the torus: zbar
+    # times h's mean over the torus, the zero mode the multiplier drops,
+    # less the first moment of h over that area
     area = 4 * grid.nx * grid.ny * grid.cell_area
     wbar = grid.cell_area * (hb.sum(axis=0) @ x - 1j * (hb.sum(axis=1) @ y))
-    out += _torus_mean(h) * (xs[None, :] - 1j * ys[:, None]) - wbar / area
+    mean = complex(h.data.sum() / (4 * grid.nx * grid.ny))
+    out += mean * (xs[None, :] - 1j * ys[:, None]) - wbar / area
     return ComplexField(grid, out)
 
 
@@ -310,7 +308,6 @@ class SolveResult:
     f: ComplexField
     residual: ResidualReport
     mu_field: ComplexField
-    mean_term: complex
     # the cell-weighted L2 norm of each fixed-point update, in order
     updates: tuple
     torus_side: int
@@ -432,15 +429,13 @@ def solve_principal(mu: MuSpec, cfg: SolveConfig | None = None) -> SolveResult:
     h[box], updates, side, converged = _fixed_point(
         mu_data[box], grid.xs()[box[1]], grid.ys()[box[0]], grid, cfg
     )
-    h_field = ComplexField(grid, h)
-    f = ComplexField(grid, grid.zz() + cauchy_transform(h_field).data)
+    f = ComplexField(grid, grid.zz() + cauchy_transform(ComplexField(grid, h)).data)
     if not converged:
         raise SolveNonConvergence(len(updates), updates[-1], f)
     return SolveResult(
         f=f,
         residual=residual_report(mu, mu_data, *wirtinger_derivatives(f)),
         mu_field=ComplexField(grid, mu_data),
-        mean_term=_torus_mean(h_field),
         updates=updates,
         torus_side=side,
         solve_seconds=time.perf_counter() - t0,

@@ -352,6 +352,17 @@ class TestSolveCommand:
         assert met["torus_side"] >= 1 and met["threads"] >= 1
         assert not set(met) & set(res)
 
+    def test_results_keys(self, tmp_path):
+        # the Cauchy step's padded-torus mean is not a property of f
+        out = str(tmp_path / "run")
+        assert main(["solve", "--mu", "const:0.3", "--grid", "64", "--out", out,
+                     "--no-dump"]) == 0
+        doc = _read_json(os.path.join(out, "solve.summary.json"))
+        assert set(doc["results"]) == {
+            "iterations", "final_update_l2", "residual_linf", "residual_l2",
+            "worst_point", "sup_mu_sampled",
+        }
+
     def test_timing_lives_in_metrics_so_results_rerun_equal(self, tmp_path):
         docs = []
         for run in ("a", "b"):

@@ -159,6 +159,11 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             QuadratureConfig(abs_tol=0.0)
 
+    def test_config_tolerance_is_absolute_then_relative(self):
+        cfg = QuadratureConfig(abs_tol=1e-8, rel_tol=1e-4)
+        assert cfg.tolerance(-3e-5) == 1e-8
+        assert cfg.tolerance(-3.0) == 1e-4 * 3.0
+
     @pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_config_rejects_non_finite_tolerances(self, field, value):

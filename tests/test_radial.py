@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beltrami_lab import radial
+from beltrami_lab import numerics, radial
 from beltrami_lab.dilatation import FAMILIES
 from beltrami_lab.numerics import adaptive_integral_1d, unit_sphere_area
 from beltrami_lab.radial import (
@@ -255,6 +255,28 @@ class TestProfiles:
         calls[0] = 0
         with pytest.raises(ValueError, match="below the resolvable profile range"):
             p.value(1e-7)
+        # the profile's domain is checked before the weight lists any jump
+        calls[0] = 0
+        with pytest.raises(ValueError, match="below the resolvable profile range"):
+            p.derivative(5e-324)
+
+    @pytest.mark.parametrize("shape", ["square", "abs"])
+    def test_numeric_profile_zero_where_the_integral_overflows(self, shape, monkeypatch):
+        # q > 0 everywhere, but so small near c that the tails below c pass
+        # 1e300 or overflow to inf; rho is 0 there and the profile builds.
+        # The panel budget only makes the overflowing quadrature give up fast.
+        monkeypatch.setattr(numerics, "_MAX_PANELS", 1024)
+        c = 0.4003123456789
+        dist = {"square": lambda t: (t - c) ** 2, "abs": lambda t: abs(t - c)}[shape]
+        p = NumericProfile(RadialWeight(2, lambda t: dist(t) + 1e-300))
+        assert p.value(0.39) == 0.0
+        assert 0.0 < p.value(0.41) < 1e-3
+        assert p.value(p.inverse(0.5)) == pytest.approx(0.5, abs=1e-12)
+
+    def test_numeric_profile_rejects_a_weight_infinite_on_a_segment(self):
+        w = RadialWeight(2, lambda t: math.inf if 0.3 < t < 0.5 else 1.0)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            NumericProfile(w)
 
     def test_inverse_profile_wraps_base(self):
         base = Example2Profile(2, 2.0)
@@ -306,6 +328,9 @@ class TestWeightsAndMeans:
         with pytest.raises(ValueError, match="infinitely many jumps"):
             w.breakpoints(0.0, 0.5)
         assert w.breakpoints(0.2, 0.5) == (1 / 3, 1 / 4)
+
+    def test_weight_lists_no_jumps_by_default(self):
+        assert RadialWeight(2, lambda t: 1.0).breakpoints(0.1, 0.5) == ()
 
 
 class TestLehtoIntegral:
@@ -423,6 +448,11 @@ class TestStretchAndKip:
         assert tangential == pytest.approx(1.0)
         assert radial == pytest.approx(1.0)
         assert radial_K_Ip(Example2Profile(2, 1.0), 0.5, 1.5) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("s", [1.5, 0.0])
+    def test_stretch_factors_outside_the_disk_rejected(self, s):
+        with pytest.raises(ValueError, match="outside"):
+            radial_stretch_factors(Example2Profile(2, 2.0), s)
 
     def test_linear_branch_kip(self):
         # inside the cut the map is a pure scaling by c, where the order-p

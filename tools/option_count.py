@@ -1,4 +1,5 @@
-"""Count the options and result fields of the library's public names.
+"""Count the options and result fields of the library's public names, the
+CLI's flags and the environment variables the package reads.
 
     python3 tools/option_count.py SRC_DIR
 
@@ -12,15 +13,20 @@ in a checkout).  For every name in the ``__all__`` of ``numerics``,
 * every defaulted parameter of a public method (class methods included)
   that the class defines itself.
 
-One line per item, then the total.  Two checkouts compare with one
-``diff``.
+then the flags of each subcommand of ``cli``, and then the environment
+variables read through ``os.environ.get`` or ``os.getenv`` anywhere in the
+package.  One line per item; each of the three lists ends with its own
+total.  Two checkouts compare with one ``diff``.
 """
 
 from __future__ import annotations
 
+import argparse
+import ast
 import dataclasses
 import importlib
 import inspect
+import pathlib
 import sys
 
 MODULES = ("numerics", "radial", "dilatation", "solver", "verify")
@@ -59,6 +65,28 @@ def option_list() -> list:
     return items
 
 
+def flag_list() -> list:
+    from beltrami_lab import cli
+
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [f"cli {name} {' '.join(action.option_strings)}"
+            for name, parser in sub.choices.items()
+            for action in parser._actions
+            if not isinstance(action, argparse._HelpAction)]
+
+
+def env_list(src: str) -> list:
+    items = []
+    for path in sorted(pathlib.Path(src, "beltrami_lab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and ast.unparse(node.func) in ("os.environ.get", "os.getenv")
+                    and node.args and isinstance(node.args[0], ast.Constant)):
+                items.append(f"env {node.args[0].value} ({path.name})")
+    return items
+
+
 def main(argv: list) -> int:
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
@@ -67,6 +95,12 @@ def main(argv: list) -> int:
     items = option_list()
     print("\n".join(items))
     print(f"total {len(items)}")
+    flags = flag_list()
+    print("\n".join(flags))
+    print(f"cli total {len(flags)}")
+    env = env_list(argv[0])
+    print("\n".join(env))
+    print(f"env total {len(env)}")
     return 0
 
 
