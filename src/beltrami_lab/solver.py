@@ -7,7 +7,13 @@ Cauchy transform.  Both transforms are frequency multipliers on a torus:
 the data sits in one corner of a zero-padded periodic buffer.
 
 The fixed point runs on the bounding box of mu's nonzero samples, since h
-vanishes wherever mu does.  The box is zero-padded to a square torus about
+vanishes wherever mu does.  It iterates in two precisions, as iterative
+refinement does (Carson and Higham, SIAM J. Sci. Comput. 40 (2018)): in
+complex64, where an FFT pair costs about 0.6 of a complex128 one, until its
+error bound falls to SWITCH_TOL ||h||, and then in complex128 from that h.
+The stop rule and fix_tol are judged in complex128 only; mu sampling, the
+Cauchy step, the derivatives, the residual and the public transforms stay
+in complex128.  The box is zero-padded to a square torus about
 TORUS_FACTOR = 1.5 times its side, of period P.  On that torus the Beurling
 kernel -1/(pi z^2) becomes -wp(z)/pi, where wp is the Weierstrass function
 of the square lattice P(Z + iZ):
@@ -91,6 +97,11 @@ TORUS_FACTOR = 1.5
 # the smallest fix_tol: below it round-off keeps the stop rule from ever
 # holding, and the iteration runs out its whole budget
 FIX_TOL_FLOOR = 1e-13
+# the fixed point iterates in complex64 until its error bound is at most
+# SWITCH_TOL ||h||, then in complex128; it sits above float32 round-off
+# (about 6e-8), where complex64 updates plateau and the observed ratio
+# drifts to 1
+SWITCH_TOL = 1e-5
 
 
 class PaddingError(ValueError):
@@ -155,22 +166,21 @@ def _symbol(shape: tuple, dx: float, dy: float, kind: str) -> np.ndarray:
     return sym
 
 
-def _apply_multiplier(data: np.ndarray, shape: tuple, grid: GridSpec,
-                      kind: str) -> np.ndarray:
-    """Multiplier `kind` applied to data, zero-padded in one corner of a
-    torus of `shape` samples with the sample spacing of grid.  Returns the
+def _apply_multiplier(data: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+    """The multiplier symbol applied to data, zero-padded in one corner of
+    the torus of symbol's shape, in the precision of symbol.  Returns the
     data-shaped corner of the result, a view."""
     ny, nx = data.shape
     workers = thread_count()
-    spec = sfft.fft2(data, s=shape, workers=workers)
-    spec *= _symbol(shape, grid.dx, grid.dy, kind)
+    spec = sfft.fft2(data, s=symbol.shape, workers=workers)
+    spec *= symbol
     return sfft.ifft2(spec, workers=workers, overwrite_x=True)[:ny, :nx]
 
 
 def _padded_transform(data: np.ndarray, grid: GridSpec, kind: str) -> np.ndarray:
     """Multiplier `kind` on the grid zero-padded to twice its side."""
-    shape = (2 * grid.ny, 2 * grid.nx)
-    return np.ascontiguousarray(_apply_multiplier(data, shape, grid, kind))
+    symbol = _symbol((2 * grid.ny, 2 * grid.nx), grid.dx, grid.dy, kind)
+    return np.ascontiguousarray(_apply_multiplier(data, symbol))
 
 
 def _check_boundary_support(h: ComplexField) -> None:
@@ -244,8 +254,8 @@ def _polynomial_kernel(terms, x, y, cell_area: float, x_out, y_out):
     The moments of h and the polynomial in z are taken through the powers
     of x and of y, so one application is four small matrix products:
     Q = Y^T h X, then R = T Q (a fixed map through the moments and the
-    polynomial coefficients), and Y_out R X_out^T.  Powers are taken about
-    the box centre, which (z - w) does not see."""
+    polynomial coefficients), and Y_out R X_out^T, in the precision of h.
+    Powers are taken about the box centre, which (z - w) does not see."""
     deg = max(n for _, n in terms)
     x0, y0 = 0.5 * (x[0] + x[-1]), 0.5 * (y[0] + y[-1])
 
@@ -265,10 +275,13 @@ def _polynomial_kernel(terms, x, y, cell_area: float, x_out, y_out):
         for j in range(n + 1):
             poly[n - j, j] += c * math.comb(n, j) * (-1) ** j
     t = cell_area * (split.T @ poly @ split)
+    mats = {dt: [m.astype(dt, copy=False) for m in (yp.T, xp, t, yo, xo.T)]
+            for dt in (np.dtype(np.complex64), np.dtype(np.complex128))}
 
     def apply(h: np.ndarray) -> np.ndarray:
-        q = (yp.T @ h @ xp).ravel()
-        return yo @ (t @ q).reshape(deg + 1, deg + 1) @ xo.T
+        ypt, xp_, t_, yo_, xot = mats[h.dtype]
+        q = (ypt @ h @ xp_).ravel()
+        return yo_ @ (t_ @ q).reshape(deg + 1, deg + 1) @ xot
 
     return apply
 
@@ -310,6 +323,8 @@ class SolveResult:
     mu_field: ComplexField
     # the cell-weighted L2 norm of each fixed-point update, in order
     updates: tuple
+    # how many of the updates ran in complex64, before the upcast of h
+    complex64_iterations: int
     torus_side: int
     solve_seconds: float
 
@@ -365,21 +380,30 @@ def _support_box(data: np.ndarray) -> tuple:
 def observed_ratio(updates: Sequence[float]) -> float | None:
     """Observed contraction ratio of a fixed point from its update norms
     d_1 .. d_n: the larger of the last two ratios d_n/d_(n-1) and
-    d_(n-1)/d_(n-2), or None before the third update."""
+    d_(n-1)/d_(n-2), or None before the third update.  A ratio over a zero
+    update is infinite: the fixed point's complex64 phase can stall
+    exactly where the complex128 one still moves."""
     if len(updates) < 3:
         return None
     d2, d1, d0 = updates[-3:]
-    return max(d0 / d1, d1 / d2)
+    return max(d0 / d1 if d1 else math.inf, d1 / d2 if d2 else math.inf)
 
 
 def _fixed_point(mu: np.ndarray, x: np.ndarray, y: np.ndarray, grid: GridSpec,
                  cfg: SolveConfig):
     """Neumann iteration h <- mu S(h) + mu on a box holding supp mu, with x
-    and y the box's node abscissas and ordinates.  Returns (h, the L2 norms
-    of the updates, torus side, converged).
+    and y the box's node abscissas and ordinates.  Returns (h in
+    complex128, the L2 norms of the updates, torus side, converged, the
+    number of complex64 updates).
 
-    It stops once the update d and the observed ratio q < 1 bound the
-    remaining error of h, d q / (1 - q), by fix_tol ||h||, or once d = 0.
+    The iteration runs in two precisions, as one loop with one update
+    history and one max_iter budget.  It starts in complex64 and upcasts h
+    to complex128 once the update d and the observed ratio q bound the
+    remaining error of h, d q / (1 - q), by SWITCH_TOL ||h||, or once
+    q >= 1, or on a zero update.  It stops once that bound is at most
+    fix_tol ||h|| in complex128, or once d = 0 there, so the stop rule and
+    fix_tol are judged in complex128 only.  A mu with no nonzero sample
+    starts in complex128.
 
     S runs on a square torus of side about TORUS_FACTOR times the box side,
     plus the three lattice terms of the torus kernel (see the module
@@ -390,32 +414,46 @@ def _fixed_point(mu: np.ndarray, x: np.ndarray, y: np.ndarray, grid: GridSpec,
                   for k, c in _laurent_coefficients())
     remainder = _polynomial_kernel(terms, x, y, grid.cell_area, x, y)
     weight = math.sqrt(grid.cell_area)
-    h = mu.copy()
+    symbol = _symbol((side, side), grid.dx, grid.dy, "beurling")
+    # the complex64 symbol lives only as long as its phase; the cache holds
+    # the complex128 one
+    low, switch = bool(mu.any()), 0
+    h = mu_k = mu.astype(np.complex64) if low else mu
+    sym_k = symbol.astype(np.complex64) if low else symbol
     updates: list[float] = []
     for _ in range(cfg.max_iter):
-        s_h = _apply_multiplier(h, (side, side), grid, "beurling")
+        s_h = _apply_multiplier(h, sym_k)
         s_h += remainder(h)
-        h_new = mu * s_h + mu
+        h_new = mu_k * s_h + mu_k
         delta = float(np.linalg.norm(h_new - h)) * weight
         updates.append(delta)
         h = h_new
         q = observed_ratio(updates)
-        if delta == 0.0 or (q is not None and q < 1.0 and delta * q / (1.0 - q)
-                            <= cfg.fix_tol * float(np.linalg.norm(h)) * weight):
-            return h, tuple(updates), side, True
-    return h, tuple(updates), side, False
+        tol = SWITCH_TOL if low else cfg.fix_tol
+        bound_met = delta == 0.0 or (q is not None and q < 1.0 and delta * q / (1.0 - q)
+                                     <= tol * float(np.linalg.norm(h)) * weight)
+        if not low and bound_met:
+            return h, tuple(updates), side, True, switch
+        if low and (bound_met or q is not None and q >= 1.0):
+            low, switch = False, len(updates)
+            mu_k, sym_k, h = mu, symbol, h.astype(np.complex128)
+    return (h.astype(np.complex128, copy=False), tuple(updates), side, False,
+            len(updates) if low else switch)
 
 
 def solve_principal(mu: MuSpec, cfg: SolveConfig | None = None) -> SolveResult:
     """Principal solution of f_zbar = mu f_z, normalized to look like the
     identity far from the support.
 
-    The Neumann iteration stops once its a posteriori bound on the
-    remaining error of h, d q / (1 - q) from the last update d and the
-    observed contraction ratio q (observed_ratio), is at most fix_tol
-    times ||h||, both in the cell-weighted L2 norm.  The result carries the
-    residual f_zbar - mu f_z of the finite-difference derivatives (see
-    residual_report).
+    The Neumann iteration runs in complex64 until its a posteriori bound
+    on the remaining error of h, d q / (1 - q) from the last update d and
+    the observed contraction ratio q (observed_ratio), is at most
+    SWITCH_TOL times ||h||, and then in complex128 from that h.  It stops
+    once the bound, taken in complex128, is at most fix_tol times ||h||,
+    both in the cell-weighted L2 norm; max_iter counts the updates of both
+    phases, and complex64_iterations those of the first.  The result
+    carries the residual f_zbar - mu f_z of the finite-difference
+    derivatives (see residual_report).
     """
     cfg = cfg or SolveConfig()
     grid = cfg.grid
@@ -426,7 +464,7 @@ def solve_principal(mu: MuSpec, cfg: SolveConfig | None = None) -> SolveResult:
         raise ContractionError(f"ess-sup |mu| = {sup:.12f} is not below 1")
     box = _support_box(mu_data)
     h = np.zeros_like(mu_data)
-    h[box], updates, side, converged = _fixed_point(
+    h[box], updates, side, converged, single = _fixed_point(
         mu_data[box], grid.xs()[box[1]], grid.ys()[box[0]], grid, cfg
     )
     f = ComplexField(grid, grid.zz() + cauchy_transform(ComplexField(grid, h)).data)
@@ -437,6 +475,7 @@ def solve_principal(mu: MuSpec, cfg: SolveConfig | None = None) -> SolveResult:
         residual=residual_report(mu, mu_data, *wirtinger_derivatives(f)),
         mu_field=ComplexField(grid, mu_data),
         updates=updates,
+        complex64_iterations=single,
         torus_side=side,
         solve_seconds=time.perf_counter() - t0,
     )

@@ -352,6 +352,22 @@ class TestSolveCommand:
         assert met["torus_side"] >= 1 and met["threads"] >= 1
         assert not set(met) & set(res)
 
+    def test_metrics_record_the_precision_hand_over(self, tmp_path):
+        out = str(tmp_path / "run")
+        assert main(["solve", "--mu", "example4", "--k", "16", "--grid", "64",
+                     "--out", out, "--no-dump"]) == 0
+        doc = _read_json(os.path.join(out, "solve.summary.json"))
+        single = doc["metrics"]["complex64_iterations"]
+        assert 0 < single < doc["results"]["iterations"]
+        out = str(tmp_path / "levels")
+        assert main(["truncate", "--mu", "example4", "--k", "4,16", "--grid", "64",
+                     "--out", out]) == 0
+        doc = _read_json(os.path.join(out, "truncate.summary.json"))
+        levels = doc["metrics"]["levels"]
+        assert levels[1]["complex64_iterations"] == single
+        assert all(0 < m["complex64_iterations"] < len(m["updates"]) for m in levels)
+        assert "complex64_iterations" not in json.dumps(doc["results"])
+
     def test_results_keys(self, tmp_path):
         # the Cauchy step's padded-torus mean is not a property of f
         out = str(tmp_path / "run")

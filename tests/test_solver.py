@@ -218,6 +218,59 @@ class TestSolvePrincipal:
         stopped, limit = seen
         assert np.linalg.norm(stopped - limit) <= cfg.fix_tol * np.linalg.norm(limit)
 
+    @pytest.mark.parametrize("spec", [
+        truncate_mu(MuSpec.example4(), 64.0),
+        MuSpec.constant(0.9),
+        MuSpec.constant(0.1),
+    ], ids=["example4-k64", "const-0.9", "const-0.1"])
+    def test_switch_below_round_off_hands_over_on_ratio(self, spec, monkeypatch):
+        # below float32 round-off the complex64 bound never holds: the
+        # complex64 phase ends once its observed ratio reaches 1, inside the
+        # budget, and the complex128 stop rule still bounds the error of h
+        monkeypatch.setattr(solver, "SWITCH_TOL", 1e-12)
+        seen = _spy_iterates(monkeypatch)
+        cfg = SolveConfig(grid=GridSpec.square(128, 2.0), max_iter=400)
+        res = solve_principal(spec, cfg)
+        solve_principal(spec, replace(cfg, fix_tol=1e-13, max_iter=1000))
+        switch = res.complex64_iterations
+        assert 3 <= switch < res.iterations < cfg.max_iter
+        assert observed_ratio(res.updates[:switch]) >= 1.0
+        stopped, limit = seen
+        assert np.linalg.norm(stopped - limit) <= cfg.fix_tol * np.linalg.norm(limit)
+
+    def test_budget_spent_in_complex64_leaves_complex128_partial(self, monkeypatch):
+        spec = truncate_mu(MuSpec.example4(), 16.0)
+        cfg = SolveConfig(grid=GridSpec.square(64, 2.0))
+        assert solve_principal(spec, cfg).complex64_iterations > 3
+        seen = _spy_iterates(monkeypatch)
+        with pytest.raises(SolveNonConvergence) as err:
+            solve_principal(spec, replace(cfg, max_iter=3))
+        assert err.value.iterations == 3
+        (h,) = seen
+        assert h.dtype == np.complex128 and np.all(np.isfinite(h))
+        assert np.all(np.isfinite(err.value.partial.data))
+
+    def test_hand_over_after_some_complex64_updates(self):
+        spec = truncate_mu(MuSpec.example4(), 16.0)
+        res = solve_principal(spec, SolveConfig(grid=GridSpec.square(128, 2.0)))
+        assert 0 < res.complex64_iterations < res.iterations
+
+    def test_zero_mu_runs_no_complex64_update(self):
+        res = solve_principal(MuSpec.constant(0.0),
+                              SolveConfig(grid=GridSpec.square(64, 2.0)))
+        assert res.updates == (0.0,)
+        assert res.complex64_iterations == 0
+
+    def test_complex64_stall_hands_over(self):
+        # mu S(h) underflows float32 at |mu| = 1e-30, so the first complex64
+        # update is exactly 0 while the complex128 iteration still moves;
+        # the ratio over that zero update is infinite, not a division error
+        res = solve_principal(MuSpec.constant(1e-30),
+                              SolveConfig(grid=GridSpec.square(64, 2.0)))
+        assert res.complex64_iterations == 1
+        assert res.updates[0] == 0.0 < res.updates[1]
+        assert observed_ratio(res.updates[:3]) == math.inf
+
     @pytest.mark.parametrize("k", [16.0, 64.0])
     def test_observed_ratio_below_sup_bound(self, k):
         spec = truncate_mu(MuSpec.example4(), k)
@@ -481,3 +534,16 @@ class TestThreads:
         assert thread_count() >= 1
         monkeypatch.delenv("BELTRAMI_LAB_THREADS")
         assert thread_count() >= 1
+
+    def test_thread_count_does_not_change_f(self, monkeypatch):
+        # the complex64 and complex128 FFTs give the same bytes at any
+        # worker count
+        spec = truncate_mu(MuSpec.example4(), 16.0)
+        cfg = SolveConfig(grid=GridSpec.square(128, 2.0))
+        fields = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("BELTRAMI_LAB_THREADS", threads)
+            res = solve_principal(spec, cfg)
+            assert res.complex64_iterations > 0
+            fields.append(res.f.data.tobytes())
+        assert fields[0] == fields[1]
