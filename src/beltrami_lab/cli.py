@@ -455,13 +455,14 @@ def _check(passed, value, threshold=None) -> dict:
 def _solve_metrics(res: SolveResult) -> dict:
     """The fixed point's update history, how many of its updates ran in
     complex64, its observed contraction ratio next to the sup |mu| that
-    bounds it, and its torus side."""
+    bounds it, its torus side, and the seconds of each phase of the solve."""
     return {
         "updates": list(res.updates),
         "complex64_iterations": res.complex64_iterations,
         "observed_ratio": observed_ratio(res.updates),
         "sup_mu": float(np.max(np.abs(res.mu_field.data))),
         "torus_side": res.torus_side,
+        "phase_seconds": dict(res.phase_seconds),
     }
 
 

@@ -138,9 +138,14 @@ def wirtinger_derivatives(field: ComplexField) -> tuple[ComplexField, ComplexFie
     """
     fx = np.gradient(field.data, field.grid.dx, axis=1, edge_order=2)
     fy = np.gradient(field.data, field.grid.dy, axis=0, edge_order=2)
-    fz = 0.5 * (fx - 1j * fy)
-    fzbar = 0.5 * (fx + 1j * fy)
-    return ComplexField(field.grid, fz), ComplexField(field.grid, fzbar)
+    # one temporary: f_z and f_zbar are built in fx and a sum of it
+    fy *= 1j
+    fzbar = fx + fy
+    fx -= fy
+    del fy
+    fx *= 0.5
+    fzbar *= 0.5
+    return ComplexField(field.grid, fx), ComplexField(field.grid, fzbar)
 
 
 def wirtinger_at_point(f: Callable[[complex], complex], z: complex) -> tuple[complex, complex]:

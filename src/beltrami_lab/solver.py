@@ -25,13 +25,19 @@ Each Beurling application adds the three terms back,
 them the periodization error of the small torus shows in the solution.
 The lattice is square only when dx == dy, which SolveConfig requires.
 
-The Cauchy step runs once per solve, on the full grid zero-padded to twice
-its side, of period P.  On that torus the kernel 1/(pi z) becomes
-(zeta(z) - pi zbar / P^2) / pi, with zeta the Weierstrass zeta function,
-zeta(z) = 1/z - G4 z^3 / P^4 + O(z^7 / P^8).  C adds back the zbar term,
-(1/P^2) int (zbar - wbar) h(w) dA (the frequency multiplier drops the zero
-mode, and the zbar part restores it so the discrete dbar of f equals h),
-and the cubic term (G4 / (pi P^4)) int (z - w)^3 h(w) dA.
+The Cauchy step runs once per solve, by the same rule: h's support box is
+zero-padded to a square torus about TORUS_FACTOR times the grid's side, of
+period P, and the result is taken on the whole grid.  On that torus the
+kernel 1/(pi z) becomes (zeta(z) - pi zbar / P^2) / pi, with zeta the
+Weierstrass zeta function of the same lattice,
+zeta(z) = 1/z - sum_k c_k / (2k - 1) z^(2k-1) / P^2k, k = 2, 4, 6, ...
+(zeta' = -wp, so its coefficients are wp's; the z^3 one is G4).  C adds
+back the zbar term, (1/P^2) int (zbar - wbar) h(w) dA (the frequency
+multiplier drops the zero mode, and the zbar part restores it so the
+discrete dbar of f equals h), and the three zeta terms
+(1/pi) sum_k c_k / (2k - 1) P^-2k int (z - w)^(2k-1) h(w) dA.  For h in
+the unit disk on a grid over [-L, L]^2 with L >= 1.5, as SolveConfig
+requires, |z - w| / P <= (sqrt(2) L + 1) / (3 L) <= 0.69 at every grid z.
 
 Dilatation fields are sampled with subcell averaging in a thin band around
 their discontinuity circles; without it, sampling quantization at the jump
@@ -102,6 +108,10 @@ FIX_TOL_FLOOR = 1e-13
 # (about 6e-8), where complex64 updates plateau and the observed ratio
 # drifts to 1
 SWITCH_TOL = 1e-5
+# residual_report's worst point is picked among the retained points whose
+# residual is at least (1 - WORST_POINT_RTOL) times the largest, so that
+# round-off ties between points of a symmetric orbit cannot decide it
+WORST_POINT_RTOL = 1e-9
 
 
 class PaddingError(ValueError):
@@ -166,21 +176,49 @@ def _symbol(shape: tuple, dx: float, dy: float, kind: str) -> np.ndarray:
     return sym
 
 
-def _apply_multiplier(data: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+def _torus_side(n: int) -> int:
+    """Side of the square torus for data n samples wide: the next fast FFT
+    length from TORUS_FACTOR n."""
+    return sfft.next_fast_len(math.ceil(TORUS_FACTOR * n))
+
+
+def _torus_window(a: np.ndarray, at: int, n: int, axis: int) -> np.ndarray:
+    """The n samples of the periodic axis of a that start at -at, a copy."""
+    return np.take(a, np.arange(-at, n - at), axis=axis, mode="wrap")
+
+
+def _apply_multiplier(data: np.ndarray, symbol: np.ndarray, at: tuple = (0, 0),
+                      out_shape: tuple | None = None) -> np.ndarray:
     """The multiplier symbol applied to data, zero-padded in one corner of
     the torus of symbol's shape, in the precision of symbol.  Returns the
-    data-shaped corner of the result, a view."""
-    ny, nx = data.shape
+    result on a window of out_shape (data's shape by default) in which data
+    sits at offset at, a new array; the window wraps around the torus.
+
+    The axes are transformed one at a time, in the order of fft2 and ifft2
+    and with their one scaling, so on the same torus the result has the
+    bits of ifft2(fft2(data, s) symbol).  The forward pass along axis 0 runs
+    on data's columns only, since the padding's columns transform to 0, and
+    the inverse pass along axis 1 on the window's rows only."""
+    ty, tx = symbol.shape
+    ny, nx = out_shape or data.shape
     workers = thread_count()
-    spec = sfft.fft2(data, s=symbol.shape, workers=workers)
+    spec = sfft.fft(data, n=ty, axis=0, workers=workers)
+    spec = sfft.fft(spec, n=tx, axis=1, workers=workers, overwrite_x=True)
     spec *= symbol
-    return sfft.ifft2(spec, workers=workers, overwrite_x=True)[:ny, :nx]
+    spec = sfft.ifft(spec, axis=0, norm="forward", workers=workers, overwrite_x=True)
+    spec = _torus_window(spec, at[0], ny, axis=0)
+    # ifft2's scaling: one real factor, 1/(ty tx) rounded from long double
+    # as pocketfft rounds it
+    real = spec.view(spec.real.dtype)
+    real *= real.dtype.type(1 / np.longdouble(ty * tx))
+    spec = sfft.ifft(spec, axis=1, norm="forward", workers=workers, overwrite_x=True)
+    return _torus_window(spec, at[1], nx, axis=1)
 
 
 def _padded_transform(data: np.ndarray, grid: GridSpec, kind: str) -> np.ndarray:
     """Multiplier `kind` on the grid zero-padded to twice its side."""
     symbol = _symbol((2 * grid.ny, 2 * grid.nx), grid.dx, grid.dy, kind)
-    return np.ascontiguousarray(_apply_multiplier(data, symbol))
+    return _apply_multiplier(data, symbol)
 
 
 def _check_boundary_support(h: ComplexField) -> None:
@@ -199,31 +237,39 @@ def _check_boundary_support(h: ComplexField) -> None:
 def cauchy_transform(h: ComplexField) -> ComplexField:
     """Solid Cauchy transform: the discrete dbar of the output equals h.
 
-    The frequency multiplier is the Cauchy kernel periodized on the padded
-    torus; the zbar term and the cubic lattice term of the module docstring
-    are added back, from moments over the support box of h.  Without the
-    zbar term the output of compactly supported data is off by a linear
-    deficit at interior points, and without the constant in it by an offset
-    that grows with the distance of h's support from 0.  The lattice terms
-    assume a square torus (nx dx == ny dy), and other grids are rejected.
-    h must vanish near the grid boundary."""
+    The frequency multiplier is the Cauchy kernel periodized on a square
+    torus about TORUS_FACTOR times the grid's side; only h's support box is
+    transformed, and the result is taken on the whole grid.  The zbar term
+    and the zeta terms of the module docstring are added back, from moments
+    over that box.  Without the zbar term the output of compactly supported
+    data is off by a linear deficit at interior points, and without the
+    constant in it by an offset that grows with the distance of h's support
+    from 0.  The zeta series stops at z^11, so its error is of order
+    (|z - w| / P)^15; on solver inputs |z - w| / P <= 0.69.  The lattice is
+    square only on a square grid of square cells, and other grids are
+    rejected.  h must vanish near the grid boundary."""
     grid = h.grid
-    if not math.isclose(grid.nx * grid.dx, grid.ny * grid.dy, rel_tol=1e-12):
-        raise ValueError("cauchy_transform needs a square torus (nx dx == ny dy)")
+    if grid.nx != grid.ny or not math.isclose(grid.dx, grid.dy, rel_tol=1e-12):
+        raise ValueError("cauchy_transform needs a square torus (nx == ny, dx == dy)")
     _check_boundary_support(h)
-    out = _padded_transform(h.data, grid, "cauchy")
+    side = _torus_side(grid.nx)
+    period = side * grid.dx
     rows, cols = _support_box(h.data)
     xs, ys = grid.xs(), grid.ys()
     hb, x, y = h.data[rows, cols], xs[cols], ys[rows]
-    cubic = G4_SQUARE_LATTICE / (math.pi * (2 * grid.nx * grid.dx) ** 4)
-    out += _polynomial_kernel(((cubic, 3),), x, y, grid.cell_area, xs, ys)(hb)
+    symbol = _symbol((side, side), grid.dx, grid.dy, "cauchy")
+    out = _apply_multiplier(hb, symbol, at=(rows.start, cols.start),
+                            out_shape=h.data.shape)
+    terms = tuple((c / ((2 * k - 1) * math.pi * period ** (2 * k)), 2 * k - 1)
+                  for k, c in _laurent_coefficients())
+    out += _polynomial_kernel(terms, x, y, grid.cell_area, xs, ys)(hb)
     # (1/P^2) int (zbar - wbar) h dA, with P^2 the area of the torus: zbar
     # times h's mean over the torus, the zero mode the multiplier drops,
     # less the first moment of h over that area
-    area = 4 * grid.nx * grid.ny * grid.cell_area
     wbar = grid.cell_area * (hb.sum(axis=0) @ x - 1j * (hb.sum(axis=1) @ y))
-    mean = complex(h.data.sum() / (4 * grid.nx * grid.ny))
-    out += mean * (xs[None, :] - 1j * ys[:, None]) - wbar / area
+    mean = complex(hb.sum() / side**2)
+    out += (mean * xs - wbar / period**2)[None, :]
+    out -= (1j * mean * ys)[:, None]
     return ComplexField(grid, out)
 
 
@@ -232,9 +278,10 @@ def beurling_transform(h: ComplexField) -> ComplexField:
     smooth g; an L2 contraction in this discretization.
 
     It stays on the grid zero-padded to twice its side, with no lattice
-    term and not on the solver's smaller torus: acceptance check 09 and
-    beurling_norm_estimate need the exact L2 contraction of the plain
-    frequency multiplier."""
+    term, and not on the 1.5x torus of the fixed point and the Cauchy step:
+    acceptance check 09 and beurling_norm_estimate need the exact L2
+    contraction of the plain frequency multiplier.  Its FFTs take the same
+    pruned passes (_apply_multiplier) with the bits of fft2 and ifft2."""
     _check_boundary_support(h)
     return ComplexField(h.grid, _padded_transform(h.data, h.grid, "beurling"))
 
@@ -327,6 +374,9 @@ class SolveResult:
     complex64_iterations: int
     torus_side: int
     solve_seconds: float
+    # perf_counter spans of the solve's phases: sample_mu, fixed_point,
+    # cauchy, and residual (the derivatives of f included)
+    phase_seconds: dict
 
     @property
     def iterations(self) -> int:
@@ -373,7 +423,7 @@ def _support_box(data: np.ndarray) -> tuple:
     rows = np.flatnonzero(data.any(axis=1))
     cols = np.flatnonzero(data.any(axis=0))
     if rows.size == 0:
-        return slice(None), slice(None)
+        return slice(0, data.shape[0]), slice(0, data.shape[1])
     return slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
 
 
@@ -408,7 +458,7 @@ def _fixed_point(mu: np.ndarray, x: np.ndarray, y: np.ndarray, grid: GridSpec,
     S runs on a square torus of side about TORUS_FACTOR times the box side,
     plus the three lattice terms of the torus kernel (see the module
     docstring)."""
-    side = sfft.next_fast_len(math.ceil(TORUS_FACTOR * max(mu.shape)))
+    side = _torus_side(max(mu.shape))
     period = side * grid.dx
     terms = tuple((c / (math.pi * period ** (2 * k)), 2 * k - 2)
                   for k, c in _laurent_coefficients())
@@ -457,8 +507,9 @@ def solve_principal(mu: MuSpec, cfg: SolveConfig | None = None) -> SolveResult:
     """
     cfg = cfg or SolveConfig()
     grid = cfg.grid
-    t0 = time.perf_counter()
+    marks = [time.perf_counter()]
     mu_data = _sample_mu(mu, grid)
+    marks.append(time.perf_counter())
     sup = float(np.max(np.abs(mu_data)))
     if sup >= 1.0 - 1e-9:
         raise ContractionError(f"ess-sup |mu| = {sup:.12f} is not below 1")
@@ -467,17 +518,26 @@ def solve_principal(mu: MuSpec, cfg: SolveConfig | None = None) -> SolveResult:
     h[box], updates, side, converged, single = _fixed_point(
         mu_data[box], grid.xs()[box[1]], grid.ys()[box[0]], grid, cfg
     )
-    f = ComplexField(grid, grid.zz() + cauchy_transform(ComplexField(grid, h)).data)
+    marks.append(time.perf_counter())
+    f_data = cauchy_transform(ComplexField(grid, h)).data
+    del h
+    f_data += grid.zz()
+    f = ComplexField(grid, f_data)
+    marks.append(time.perf_counter())
     if not converged:
         raise SolveNonConvergence(len(updates), updates[-1], f)
+    residual = residual_report(mu, mu_data, *wirtinger_derivatives(f))
+    marks.append(time.perf_counter())
     return SolveResult(
         f=f,
-        residual=residual_report(mu, mu_data, *wirtinger_derivatives(f)),
+        residual=residual,
         mu_field=ComplexField(grid, mu_data),
         updates=updates,
         complex64_iterations=single,
         torus_side=side,
-        solve_seconds=time.perf_counter() - t0,
+        solve_seconds=time.perf_counter() - marks[0],
+        phase_seconds={name: b - a for name, a, b in zip(
+            ("sample_mu", "fixed_point", "cauchy", "residual"), marks, marks[1:])},
     )
 
 
@@ -485,18 +545,23 @@ def residual_report(mu: MuSpec, mu_data: np.ndarray, f_z: ComplexField,
                     f_zbar: ComplexField) -> ResidualReport:
     """Norms of f_zbar - mu f_z, with mu_data the samples of mu, over the
     retained compact: {|z| <= 0.95} off two-cell bands around the jump
-    circles of mu (finite differences are O(1) wrong across a jump)."""
+    circles of mu (finite differences are O(1) wrong across a jump).
+
+    The worst point is, among the retained points whose residual is at
+    least (1 - WORST_POINT_RTOL) linf, the one of smallest arg z in
+    [0, 2 pi), then of smallest |z|: a symmetric mu ties a whole orbit of
+    points up to round-off, and the pick must not depend on which of them
+    round-off favours."""
     grid = f_z.grid
     keep = _retained_mask(grid, mu)
     r = np.abs(f_zbar.data - mu_data * f_z.data)
     l2 = float(np.sqrt(np.sum(r[keep] ** 2) * grid.cell_area))
     r[~keep] = 0.0
-    iy, ix = np.unravel_index(int(np.argmax(r)), r.shape)
-    return ResidualReport(
-        linf=float(r[iy, ix]),
-        l2=l2,
-        worst_point=complex(grid.xs()[ix] + 1j * grid.ys()[iy]),
-    )
+    linf = float(r.max())
+    iy, ix = np.nonzero(r >= (1.0 - WORST_POINT_RTOL) * linf)
+    z = grid.xs()[ix] + 1j * grid.ys()[iy]
+    pick = np.lexsort((np.abs(z), np.mod(np.angle(z), 2.0 * math.pi)))[0]
+    return ResidualReport(linf=linf, l2=l2, worst_point=complex(z[pick]))
 
 
 def sup_distance(a: ComplexField, b: ComplexField) -> float:

@@ -368,6 +368,24 @@ class TestSolveCommand:
         assert all(0 < m["complex64_iterations"] < len(m["updates"]) for m in levels)
         assert "complex64_iterations" not in json.dumps(doc["results"])
 
+    def test_phase_seconds_live_in_metrics(self, tmp_path):
+        # the summary's keys are sorted
+        phases = ["cauchy", "fixed_point", "residual", "sample_mu"]
+        out = str(tmp_path / "run")
+        assert main(["solve", "--mu", "example4", "--k", "4", "--grid", "64",
+                     "--out", out, "--no-dump"]) == 0
+        doc = _read_json(os.path.join(out, "solve.summary.json"))
+        assert list(doc["metrics"]["phase_seconds"]) == phases
+        assert "phase_seconds" not in json.dumps(doc["results"])
+        out = str(tmp_path / "levels")
+        assert main(["truncate", "--mu", "example4", "--k", "4,16", "--grid", "64",
+                     "--out", out]) == 0
+        doc = _read_json(os.path.join(out, "truncate.summary.json"))
+        for level in doc["metrics"]["levels"]:
+            assert list(level["phase_seconds"]) == phases
+            assert all(t > 0.0 for t in level["phase_seconds"].values())
+        assert "phase_seconds" not in json.dumps(doc["results"])
+
     def test_results_keys(self, tmp_path):
         # the Cauchy step's padded-torus mean is not a property of f
         out = str(tmp_path / "run")

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
 from beltrami_lab import solver
 from beltrami_lab.dilatation import MuSpec, truncate_mu
@@ -67,6 +69,39 @@ def _near(field, z0):
     return field.data[iy, ix], g.xs()[ix] + 1j * g.ys()[iy]
 
 
+def _off_centre_bump(grid):
+    zz = grid.zz()
+    val = 0.6 * np.exp(-np.abs(zz - (0.35 + 0.2j)) ** 2 / 0.08)
+    return np.where(np.abs(zz) < 0.95, val, 0.0)
+
+
+class TestApplyMultiplier:
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    @pytest.mark.parametrize("side", [192, 384])
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    def test_same_bits_as_fft2_pair(self, dtype, side, threads, monkeypatch):
+        # the axis-by-axis, pruned passes against ifft2(fft2(data, s) symbol),
+        # for data in the corner and for data at an offset inside a window
+        # larger than it
+        monkeypatch.setenv("BELTRAMI_LAB_THREADS", threads)
+        rng = np.random.default_rng(side)
+
+        def noise(shape):
+            return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(dtype)
+
+        symbol = noise((side, side))
+        for shape, at, out_shape in (((side // 2, side // 3), (0, 0), None),
+                                     ((side // 3, side // 2 + 1), (7, 5), (side // 2 + 20, side - 9)),
+                                     ((side // 5, side // 4), (side // 3, 2), (side // 2, side // 2))):
+            data = noise(shape)
+            full = sfft.ifft2(sfft.fft2(data, s=(side, side)) * symbol)
+            ny, nx = out_shape or shape
+            want = np.roll(full, at, axis=(0, 1))[:ny, :nx]
+            got = solver._apply_multiplier(data, symbol, at=at, out_shape=out_shape)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+
 class TestCauchyTransform:
     def test_disk_indicator_brute_force_oracle(self):
         # Riemann-sum check of the closed form C(chi_disk)(z) = conj(z)
@@ -91,6 +126,32 @@ class TestCauchyTransform:
         err = np.max(np.abs(out.data - np.conj(zz))[mask])
         assert err < 5e-3
 
+    def test_matches_wide_torus_on_the_whole_grid(self, monkeypatch):
+        # reference: the multiplier on a torus 8 times the grid's side, where
+        # the zeta terms are small, with the zbar term and all of them added;
+        # on the 1.5x torus z^3 alone leaves 3.8e-4, and the 2x torus with z^3
+        # left 4.0e-5
+        g = GridSpec.square(128, 2.0)
+        h = ComplexField(g, _off_centre_bump(g))
+        side = 8 * g.nx
+        period = side * g.dx
+        symbol = solver._symbol((side, side), g.dx, g.dy, "cauchy")
+        ref = sfft.ifft2(sfft.fft2(h.data, s=(side, side)) * symbol)[:g.ny, :g.nx]
+        xs, ys, zz = g.xs(), g.ys(), g.zz()
+        terms = tuple((c / ((2 * k - 1) * math.pi * period ** (2 * k)), 2 * k - 1)
+                      for k, c in solver._laurent_coefficients())
+        ref += solver._polynomial_kernel(terms, xs, ys, g.cell_area, xs, ys)(h.data)
+        ref += (h.data.sum() / side**2 * np.conj(zz)
+                - g.cell_area * np.sum(np.conj(zz) * h.data) / period**2)
+
+        def error():
+            return np.max(np.abs(cauchy_transform(h).data - ref))
+
+        assert error() <= 1e-5
+        first = solver._laurent_coefficients()[:1]
+        monkeypatch.setattr(solver, "_laurent_coefficients", lambda: first)
+        assert error() > 1e-5
+
     def test_zero_field(self):
         g = GridSpec.square(64, 2.0)
         out = cauchy_transform(ComplexField(g, np.zeros((64, 64))))
@@ -105,7 +166,7 @@ class TestCauchyTransform:
 
     @pytest.mark.parametrize("nx, ny", [(160, 128), (128, 160), (200, 128)])
     def test_non_square_torus_rejected(self, nx, ny):
-        # the lattice terms assume nx dx == ny dy; on a 160 x 128 grid of
+        # the lattice terms assume a square torus; on a 160 x 128 grid of
         # square cells the error on an averaged disk was 3.8x the 128 x 128 one
         step = 4.0 / 127
         g = GridSpec(nx, ny, -2.0, -2.0, step, step)
@@ -298,6 +359,47 @@ class TestSolvePrincipal:
             with pytest.raises(ValueError):
                 SolveConfig(grid=g)
 
+    def test_phase_seconds(self):
+        cfg = SolveConfig(grid=GridSpec.square(64, 2.0))
+        res = solve_principal(truncate_mu(MuSpec.example4(), 4.0), cfg)
+        phases = res.phase_seconds
+        assert list(phases) == ["sample_mu", "fixed_point", "cauchy", "residual"]
+        assert all(t > 0.0 for t in phases.values())
+        assert sum(phases.values()) <= res.solve_seconds
+
+    def test_heap_peak_at_512(self):
+        # traced heap of a 512^2 solve with cold symbol caches, in grid fields
+        # (one 512^2 complex128 array); it was 12.6 with the Cauchy step on
+        # the 2x torus
+        cfg = SolveConfig(grid=GridSpec.square(512, 2.0))
+        spec = truncate_mu(MuSpec.example3(0.5), 10.0)
+        solver._symbol.cache_clear()
+        tracemalloc.start()
+        try:
+            solve_principal(spec, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 512 * 512 * 16
+
+    def test_worst_point_ignores_round_off_ties(self):
+        # |z|^2 is symmetric under z -> iz, so its largest value on the
+        # retained disk ties at several nodes; a 1e-12 relative perturbation
+        # must not move the reported one
+        g = GridSpec.square(129, 2.0)
+        spec = MuSpec.constant(0.0)
+        ones = ComplexField(g, np.ones((g.ny, g.nx)))
+        r2 = np.abs(g.zz()) ** 2 + 0j
+        rng = np.random.default_rng(5)
+        points = set()
+        for eps in (0.0, 1e-12, -1e-12):
+            noisy = r2 * (1.0 + eps * rng.standard_normal(r2.shape))
+            rep = residual_report(spec, np.zeros(r2.shape), ones, ComplexField(g, noisy))
+            points.add(rep.worst_point)
+        assert len(points) == 1
+        (z,) = points
+        assert 0.0 <= np.angle(z) < math.pi / 4
+
     def test_lattice_correction_matches_wide_torus(self, monkeypatch):
         # reference: the same Neumann loop through the public Beurling
         # transform on a grid 128 cells wider on each side, whose padded
@@ -308,16 +410,11 @@ class TestSolvePrincipal:
         wide = GridSpec(g.nx + 2 * pad, g.ny + 2 * pad, g.x_min - pad * g.dx,
                         g.y_min - pad * g.dy, g.dx, g.dy)
 
-        def bump(grid):
-            zz = grid.zz()
-            val = 0.6 * np.exp(-np.abs(zz - (0.35 + 0.2j)) ** 2 / 0.08)
-            return np.where(np.abs(zz) < 0.95, val, 0.0)
-
         # both sides are iterated far below the 1e-6 thresholds, so that
         # iteration error cannot decide either comparison
-        spec = MuSpec.from_grid(ComplexField(g, bump(g)))
+        spec = MuSpec.from_grid(ComplexField(g, _off_centre_bump(g)))
         cfg = SolveConfig(grid=g, fix_tol=1e-10)
-        mu = bump(wide)
+        mu = _off_centre_bump(wide)
         h = mu.copy()
         for _ in range(cfg.max_iter):
             h_new = mu * beurling_transform(ComplexField(wide, h)).data + mu
