@@ -455,13 +455,15 @@ def _check(passed, value, threshold=None) -> dict:
 def _solve_metrics(res: SolveResult) -> dict:
     """The fixed point's update history, how many of its updates ran in
     complex64, its observed contraction ratio next to the sup |mu| that
-    bounds it, its torus side, and the seconds of each phase of the solve."""
+    bounds it, its torus side, the solve's FFT pairs by precision and the
+    seconds of each phase of the solve."""
     return {
         "updates": list(res.updates),
         "complex64_iterations": res.complex64_iterations,
         "observed_ratio": observed_ratio(res.updates),
-        "sup_mu": float(np.max(np.abs(res.mu_field.data))),
+        "sup_mu": res.sup_mu,
         "torus_side": res.torus_side,
+        "fft_pairs": res.fft_pairs,
         "phase_seconds": dict(res.phase_seconds),
     }
 

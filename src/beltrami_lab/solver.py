@@ -39,6 +39,14 @@ discrete dbar of f equals h), and the three zeta terms
 the unit disk on a grid over [-L, L]^2 with L >= 1.5, as SolveConfig
 requires, |z - w| / P <= (sqrt(2) L + 1) / (3 L) <= 0.69 at every grid z.
 
+A solve is three steps: _prepare samples mu and checks its sup, _iterate
+runs the fixed point on mu's support box, and _finish takes the Cauchy
+step, the derivatives and the residual.  solve_principal runs them in a
+row.  truncation_scheme prepares every level, runs the levels' fixed
+points on a pool of thread_count() threads, and finishes the levels on the
+calling thread.  Only box-sized arrays are made on the pool, because each
+thread's malloc arena keeps its own high-water mark resident.
+
 Dilatation fields are sampled with subcell averaging in a thin band around
 their discontinuity circles; without it, sampling quantization at the jump
 roughly doubles the finite-difference dilatation error next to the excluded
@@ -52,6 +60,7 @@ from __future__ import annotations
 import math
 import os
 import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Sequence
@@ -139,8 +148,9 @@ class SolveNonConvergence(RuntimeError):
 
 
 def thread_count() -> int:
-    """Worker count for the FFTs, from BELTRAMI_LAB_THREADS (0 or unset
-    means a small automatic default)."""
+    """The library's thread budget, from BELTRAMI_LAB_THREADS (0 or unset
+    means the usable cores, at most 4): the size of truncation_scheme's
+    pool of fixed points.  Every FFT runs on one worker."""
     raw = os.environ.get("BELTRAMI_LAB_THREADS", "0").strip()
     try:
         val = int(raw)
@@ -198,20 +208,22 @@ def _apply_multiplier(data: np.ndarray, symbol: np.ndarray, at: tuple = (0, 0),
     and with their one scaling, so on the same torus the result has the
     bits of ifft2(fft2(data, s) symbol).  The forward pass along axis 0 runs
     on data's columns only, since the padding's columns transform to 0, and
-    the inverse pass along axis 1 on the window's rows only."""
+    the inverse pass along axis 1 on the window's rows only.  Each pass
+    runs on one worker: on a 2-vCPU machine scipy's workers=2 kept the CPU
+    time equal to the wall time from 256^2 to 2048^2, so the cores go to
+    truncation_scheme's pool of fixed points instead."""
     ty, tx = symbol.shape
     ny, nx = out_shape or data.shape
-    workers = thread_count()
-    spec = sfft.fft(data, n=ty, axis=0, workers=workers)
-    spec = sfft.fft(spec, n=tx, axis=1, workers=workers, overwrite_x=True)
+    spec = sfft.fft(data, n=ty, axis=0)
+    spec = sfft.fft(spec, n=tx, axis=1, overwrite_x=True)
     spec *= symbol
-    spec = sfft.ifft(spec, axis=0, norm="forward", workers=workers, overwrite_x=True)
+    spec = sfft.ifft(spec, axis=0, norm="forward", overwrite_x=True)
     spec = _torus_window(spec, at[0], ny, axis=0)
     # ifft2's scaling: one real factor, 1/(ty tx) rounded from long double
     # as pocketfft rounds it
     real = spec.view(spec.real.dtype)
     real *= real.dtype.type(1 / np.longdouble(ty * tx))
-    spec = sfft.ifft(spec, axis=1, norm="forward", workers=workers, overwrite_x=True)
+    spec = sfft.ifft(spec, axis=1, norm="forward", overwrite_x=True)
     return _torus_window(spec, at[1], nx, axis=1)
 
 
@@ -367,13 +379,15 @@ class SolveResult:
 
     f: ComplexField
     residual: ResidualReport
-    mu_field: ComplexField
+    # the samples of mu; None on truncation levels, which drop them
+    mu_field: ComplexField | None
+    # the largest |mu| over the samples
+    sup_mu: float
     # the cell-weighted L2 norm of each fixed-point update, in order
     updates: tuple
     # how many of the updates ran in complex64, before the upcast of h
     complex64_iterations: int
     torus_side: int
-    solve_seconds: float
     # perf_counter spans of the solve's phases: sample_mu, fixed_point,
     # cauchy, and residual (the derivatives of f included)
     phase_seconds: dict
@@ -381,6 +395,19 @@ class SolveResult:
     @property
     def iterations(self) -> int:
         return len(self.updates)
+
+    @property
+    def solve_seconds(self) -> float:
+        """The phases' seconds summed; a truncation level's phases do not
+        run back to back."""
+        return sum(self.phase_seconds.values())
+
+    @property
+    def fft_pairs(self) -> dict:
+        """FFT pairs by precision: one per complex64 update, and one per
+        complex128 update plus the Cauchy step's."""
+        single = self.complex64_iterations
+        return {"complex64": single, "complex128": self.iterations - single + 1}
 
 
 def _near_circles(r: np.ndarray, circles: Sequence[float], band: float) -> np.ndarray:
@@ -395,14 +422,22 @@ def _cell_average(fn, grid: GridSpec, circles: Sequence[float], band: float,
                   sub: int) -> np.ndarray:
     """fn at the cell centres of grid, except in cells within band of one of
     the circles about 0, where it is the mean of fn over a sub x sub lattice
-    of points centred in the cell."""
-    zz = grid.zz()
-    out = np.asarray(fn(zz))
+    of points centred in the cell.
+
+    fn must vanish off the closed unit disk, and the circles must lie in
+    it; only the cells of the disk's bounding box widened by band are
+    evaluated, and the others are 0."""
+    box = tuple(slice(np.searchsorted(v, -1.0 - band), np.searchsorted(v, 1.0 + band, "right"))
+                for v in (grid.ys(), grid.xs()))
+    zz = grid.xs()[box[1]][None, :] + 1j * grid.ys()[box[0]][:, None]
+    vals = np.asarray(fn(zz))
     iy, ix = np.nonzero(_near_circles(np.abs(zz), circles, band))
     offs = (np.arange(sub) + 0.5) / sub - 0.5
     ox, oy = np.meshgrid(offs * grid.dx, offs * grid.dy)
     pts = zz[iy, ix][:, None] + (ox + 1j * oy).ravel()[None, :]
-    out[iy, ix] = np.asarray(fn(pts)).mean(axis=1)
+    vals[iy, ix] = np.asarray(fn(pts)).mean(axis=1)
+    out = np.zeros((grid.ny, grid.nx), dtype=vals.dtype)
+    out[box] = vals
     return out
 
 
@@ -491,6 +526,79 @@ def _fixed_point(mu: np.ndarray, x: np.ndarray, y: np.ndarray, grid: GridSpec,
             len(updates) if low else switch)
 
 
+@dataclass
+class _Level:
+    """A solve between its steps: mu and its config, mu's samples, their
+    sup and support box, the output of the fixed point once it has run
+    (_fixed_point's tuple), and the seconds of each phase so far."""
+
+    spec: MuSpec
+    cfg: SolveConfig
+    mu_data: np.ndarray
+    sup: float
+    box: tuple
+    seconds: dict
+    fixed: tuple | None = None
+
+
+def _prepare(mu: MuSpec, cfg: SolveConfig) -> _Level:
+    """The first step of a solve: sample mu on the grid, check that its sup
+    is below 1 and find its support box."""
+    t0 = time.perf_counter()
+    mu_data = _sample_mu(mu, cfg.grid)
+    sup = float(np.max(np.abs(mu_data)))
+    if sup >= 1.0 - 1e-9:
+        raise ContractionError(f"ess-sup |mu| = {sup:.12f} is not below 1")
+    return _Level(mu, cfg, mu_data, sup, _support_box(mu_data),
+                  {"sample_mu": time.perf_counter() - t0})
+
+
+def _iterate(level: _Level) -> None:
+    """The second step: the fixed point on level's support box.  It touches
+    only box-sized arrays and calls no public name of the package, so
+    levels may run it on pool threads."""
+    t0 = time.perf_counter()
+    grid, (rows, cols) = level.cfg.grid, level.box
+    level.fixed = _fixed_point(level.mu_data[rows, cols], grid.xs()[cols], grid.ys()[rows],
+                               grid, level.cfg)
+    level.seconds["fixed_point"] = time.perf_counter() - t0
+
+
+def _finish(level: _Level) -> tuple:
+    """The last step: f = z + C(h) from the fixed point's h, then the
+    residual from f's derivatives.  Returns the SolveResult and the
+    derivatives; raises SolveNonConvergence, carrying f, if the fixed point
+    did not converge."""
+    h_box, updates, side, converged, single = level.fixed
+    level.fixed = None
+    grid, box, seconds = level.cfg.grid, level.box, level.seconds
+    t0 = time.perf_counter()
+    h = np.zeros((grid.ny, grid.nx), dtype=complex)
+    h[box] = h_box
+    del h_box
+    f_data = cauchy_transform(ComplexField(grid, h)).data
+    del h
+    f_data += grid.zz()
+    f = ComplexField(grid, f_data)
+    t1 = time.perf_counter()
+    seconds["cauchy"] = t1 - t0
+    if not converged:
+        raise SolveNonConvergence(len(updates), updates[-1], f)
+    derivatives = wirtinger_derivatives(f)
+    residual = residual_report(level.spec, level.mu_data, *derivatives)
+    seconds["residual"] = time.perf_counter() - t1
+    return SolveResult(
+        f=f,
+        residual=residual,
+        mu_field=ComplexField(grid, level.mu_data),
+        sup_mu=level.sup,
+        updates=updates,
+        complex64_iterations=single,
+        torus_side=side,
+        phase_seconds=seconds,
+    ), derivatives
+
+
 def solve_principal(mu: MuSpec, cfg: SolveConfig | None = None) -> SolveResult:
     """Principal solution of f_zbar = mu f_z, normalized to look like the
     identity far from the support.
@@ -505,40 +613,9 @@ def solve_principal(mu: MuSpec, cfg: SolveConfig | None = None) -> SolveResult:
     carries the residual f_zbar - mu f_z of the finite-difference
     derivatives (see residual_report).
     """
-    cfg = cfg or SolveConfig()
-    grid = cfg.grid
-    marks = [time.perf_counter()]
-    mu_data = _sample_mu(mu, grid)
-    marks.append(time.perf_counter())
-    sup = float(np.max(np.abs(mu_data)))
-    if sup >= 1.0 - 1e-9:
-        raise ContractionError(f"ess-sup |mu| = {sup:.12f} is not below 1")
-    box = _support_box(mu_data)
-    h = np.zeros_like(mu_data)
-    h[box], updates, side, converged, single = _fixed_point(
-        mu_data[box], grid.xs()[box[1]], grid.ys()[box[0]], grid, cfg
-    )
-    marks.append(time.perf_counter())
-    f_data = cauchy_transform(ComplexField(grid, h)).data
-    del h
-    f_data += grid.zz()
-    f = ComplexField(grid, f_data)
-    marks.append(time.perf_counter())
-    if not converged:
-        raise SolveNonConvergence(len(updates), updates[-1], f)
-    residual = residual_report(mu, mu_data, *wirtinger_derivatives(f))
-    marks.append(time.perf_counter())
-    return SolveResult(
-        f=f,
-        residual=residual,
-        mu_field=ComplexField(grid, mu_data),
-        updates=updates,
-        complex64_iterations=single,
-        torus_side=side,
-        solve_seconds=time.perf_counter() - marks[0],
-        phase_seconds={name: b - a for name, a, b in zip(
-            ("sample_mu", "fixed_point", "cauchy", "residual"), marks, marks[1:])},
-    )
+    level = _prepare(mu, cfg or SolveConfig())
+    _iterate(level)
+    return _finish(level)[0]
 
 
 def residual_report(mu: MuSpec, mu_data: np.ndarray, f_z: ComplexField,
@@ -580,16 +657,19 @@ def _disk_cell_weights(grid: GridSpec) -> np.ndarray:
                          0.5 * math.hypot(grid.dx, grid.dy), DISK_SUBCELLS)
 
 
+def _kip_integral(f_z: ComplexField, f_zbar: ComplexField, order_p: float) -> float:
+    """The integral of (|f_z| + |f_zbar|)^p over the unit disk."""
+    grid = f_z.grid
+    norm = np.abs(f_z.data) + np.abs(f_zbar.data)
+    return float(np.sum(norm**order_p * _disk_cell_weights(grid)) * grid.cell_area)
+
+
 def grid_kip_integral(res: SolveResult, order_p: float) -> float:
     """Integral of the order-p inner dilatation of the inverse map over the
     image of the unit disk, computed in source coordinates as the integral
     of the operator norm ||f'||^p = (|f_z| + |f_zbar|)^p."""
     check_order_p(order_p)
-    grid = res.f.grid
-    w = _disk_cell_weights(grid)
-    f_z, f_zbar = wirtinger_derivatives(res.f)
-    norm = np.abs(f_z.data) + np.abs(f_zbar.data)
-    return float(np.sum(norm**order_p * w) * grid.cell_area)
+    return _kip_integral(*wirtinger_derivatives(res.f), order_p)
 
 
 @dataclass
@@ -619,16 +699,30 @@ def truncation_scheme(
     """Solve the truncated equations along an increasing K-cap schedule.
 
     Per level k the dilatation is zeroed where its maximal dilatation
-    exceeds k, solved, and the order-p inner-dilatation integral recorded;
+    exceeds k, solved, and the order-p inner-dilatation integral recorded
+    (grid_kip_integral, from the derivatives the residual takes);
     successive solutions are compared in sup norm on {|z| <= 0.9}.  Higher
     caps contract more slowly, so each level's iteration budget is raised
     to the a priori count ceil(ln(fix_tol (1 - b)) / ln b) for
     b = ess-sup |mu_k|, and never set below max_iter.
+
+    The levels are independent.  Each is sampled on the calling thread
+    first, so a ContractionError comes before any iteration.  Their fixed
+    points then run on a pool of thread_count() threads, at most one per
+    level, highest k first since those run longest.  They touch only
+    box-sized arrays, so every full-grid array is made on the calling
+    thread.  Once all have run, so that the heap peak does not depend on
+    thread timing, the levels are finished on the calling thread in
+    schedule order, and each drops its mu samples (mu_field is None).  The
+    first level in schedule order whose fixed point did not converge
+    raises SolveNonConvergence; if the wait is interrupted, the fixed
+    points not yet started are cancelled.  The result has the same bytes
+    at any thread count.
     """
     ks = check_k_schedule(k_schedule)
     check_order_p(order_p)
     cfg = cfg or SolveConfig()
-    per_k: list[SolveResult] = []
+    levels = []
     for k in ks:
         spec_k = truncate_mu(mu, k)
         bound = spec_k.sup_abs_bound()
@@ -636,12 +730,28 @@ def truncation_scheme(
         if 0.0 < bound < 1.0:
             budget = max(budget, math.ceil(math.log(cfg.fix_tol * (1.0 - bound))
                                            / math.log(bound)))
-        cfg_k = replace(cfg, max_iter=budget)
-        per_k.append(solve_principal(spec_k, cfg_k))
+        levels.append(_prepare(spec_k, replace(cfg, max_iter=budget)))
+    per_k: list[SolveResult] = []
+    integrals = []
+    with ThreadPoolExecutor(min(thread_count(), len(levels))) as pool:
+        runs = [pool.submit(_iterate, level) for level in reversed(levels)][::-1]
+        try:
+            wait(runs)
+        finally:
+            # an interrupted wait leaves no fixed point queued behind it
+            for run in runs:
+                run.cancel()
+    for run in runs:
+        run.result()
+        res, derivatives = _finish(levels.pop(0))
+        res.mu_field = None
+        integrals.append(_kip_integral(*derivatives, order_p))
+        per_k.append(res)
+        # two grid fields the next level's finish must not hold
+        del derivatives
     dists = tuple(
         sup_distance(a.f, b.f) for a, b in zip(per_k, per_k[1:])
     )
-    integrals = tuple(grid_kip_integral(r, order_p) for r in per_k)
     if any(not math.isfinite(v) for v in integrals):
         raise ValueError("non-finite inner-dilatation integral")
     ok = None
@@ -650,7 +760,7 @@ def truncation_scheme(
     return TruncationRun(
         per_k=per_k,
         pairwise_sup_dist=dists,
-        KIp_integrals=integrals,
+        KIp_integrals=tuple(integrals),
         bound_ok=ok,
     )
 

@@ -368,6 +368,27 @@ class TestSolveCommand:
         assert all(0 < m["complex64_iterations"] < len(m["updates"]) for m in levels)
         assert "complex64_iterations" not in json.dumps(doc["results"])
 
+    def test_fft_pairs_live_in_metrics(self, tmp_path):
+        # one pair per update, in its precision, and the Cauchy step's
+        def pairs(met):
+            single = met["complex64_iterations"]
+            return {"complex64": single, "complex128": len(met["updates"]) - single + 1}
+
+        out = str(tmp_path / "run")
+        assert main(["solve", "--mu", "example4", "--k", "16", "--grid", "64",
+                     "--out", out, "--no-dump"]) == 0
+        doc = _read_json(os.path.join(out, "solve.summary.json"))
+        assert doc["metrics"]["fft_pairs"] == pairs(doc["metrics"])
+        assert doc["metrics"]["fft_pairs"]["complex64"] > 0
+        assert "fft_pairs" not in json.dumps(doc["results"])
+        out = str(tmp_path / "levels")
+        assert main(["truncate", "--mu", "example4", "--k", "4,16", "--grid", "64",
+                     "--out", out]) == 0
+        doc = _read_json(os.path.join(out, "truncate.summary.json"))
+        for level in doc["metrics"]["levels"]:
+            assert level["fft_pairs"] == pairs(level)
+        assert "fft_pairs" not in json.dumps(doc["results"])
+
     def test_phase_seconds_live_in_metrics(self, tmp_path):
         # the summary's keys are sorted
         phases = ["cauchy", "fixed_point", "residual", "sample_mu"]

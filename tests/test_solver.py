@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -202,6 +203,45 @@ class TestBeurlingTransform:
         est = beurling_norm_estimate()
         assert est <= 1.0 + 1e-6
         assert est > 0.9
+
+
+def _cell_average_whole_grid(fn, grid, circles, band, sub):
+    """The cell averages of solver._cell_average, taken on every cell of the
+    grid."""
+    zz = grid.zz()
+    out = np.asarray(fn(zz))
+    iy, ix = np.nonzero(solver._near_circles(np.abs(zz), circles, band))
+    offs = (np.arange(sub) + 0.5) / sub - 0.5
+    ox, oy = np.meshgrid(offs * grid.dx, offs * grid.dy)
+    pts = zz[iy, ix][:, None] + (ox + 1j * oy).ravel()[None, :]
+    out[iy, ix] = np.asarray(fn(pts)).mean(axis=1)
+    return out
+
+
+class TestCellAverage:
+    @pytest.mark.parametrize("spec", [MuSpec.constant(0.3), MuSpec.example3(0.5),
+                                      MuSpec.example3(0.7), MuSpec.example4()],
+                             ids=["const", "example3-0.5", "example3-0.7", "example4"])
+    @pytest.mark.parametrize("k", [math.inf, 4.0, 64.0])
+    def test_box_sampler_matches_whole_grid(self, spec, k):
+        # mu vanishes off the unit disk, so sampling the disk's box widened
+        # by the antialias band gives the bytes of sampling every cell; the
+        # band matters where |mu| jumps at the unit circle
+        spec = truncate_mu(spec, k)
+        for n, half_width in ((64, 1.5), (128, 2.0), (512, 3.0)):
+            grid = GridSpec.square(n, half_width)
+            band = solver.ANTIALIAS_BAND_CELLS * grid.dx
+            want = _cell_average_whole_grid(spec.mu, grid, spec.jump_radii(), band,
+                                            solver.ANTIALIAS_SUBCELLS)
+            assert np.array_equal(solver._sample_mu(spec, grid), want)
+
+    @pytest.mark.parametrize("n, half_width", [(64, 1.5), (128, 2.0), (512, 3.0)])
+    def test_disk_cell_weights_match_whole_grid(self, n, half_width):
+        grid = GridSpec.square(n, half_width)
+        want = _cell_average_whole_grid(lambda z: (np.abs(z) <= 1.0) * 1.0, grid, (1.0,),
+                                        0.5 * math.hypot(grid.dx, grid.dy),
+                                        solver.DISK_SUBCELLS)
+        assert np.array_equal(solver._disk_cell_weights(grid), want)
 
 
 class TestSolvePrincipal:
@@ -570,15 +610,17 @@ class TestTruncationScheme:
         assert run.pairwise_sup_dist[0] > 0.0
 
     def test_levels_hold_one_copy_of_each_field(self):
-        # a level keeps f and its mu samples; the derivatives of f are
-        # taken from f where needed, not stored beside it
+        # a level keeps f only: it drops its mu samples once finished, and
+        # the derivatives of f are taken from f where needed
         run = truncation_scheme(
             MuSpec.example4(), (4.0, 8.0, 16.0), 1.5,
             SolveConfig(grid=GridSpec.square(128, 2.0)),
         )
         for res in run.per_k:
             fields = [k for k, v in vars(res).items() if isinstance(v, ComplexField)]
-            assert fields == ["f", "mu_field"]
+            assert fields == ["f"]
+            assert res.mu_field is None
+            assert 0.0 < res.sup_mu < 1.0
 
     def test_bound_checked(self):
         run = truncation_scheme(
@@ -593,17 +635,19 @@ class TestTruncationScheme:
         # ceil(ln(fix_tol (1 - b)) / ln b) for b = ess-sup |mu_k|, and
         # converges within it
         budgets = []
-        solve = solver.solve_principal
+        fixed_point = solver._fixed_point
 
-        def spy(spec, cfg):
+        def spy(mu, x, y, grid, cfg):
             budgets.append(cfg.max_iter)
-            return solve(spec, cfg)
+            return fixed_point(mu, x, y, grid, cfg)
 
-        monkeypatch.setattr(solver, "solve_principal", spy)
+        monkeypatch.setattr(solver, "_fixed_point", spy)
+        # one pool thread runs the levels' fixed points highest K first
+        monkeypatch.setenv("BELTRAMI_LAB_THREADS", "1")
         ks = (64.0, 256.0, 1024.0, 4096.0)
         cfg = SolveConfig(grid=GridSpec.square(128, 2.0), max_iter=1)
         run = truncation_scheme(MuSpec.example4(), ks, 1.5, cfg)
-        for k, budget, res in zip(ks, budgets, run.per_k, strict=True):
+        for k, budget, res in zip(ks, budgets[::-1], run.per_k, strict=True):
             b = truncate_mu(MuSpec.example4(), k).sup_abs_bound()
             assert budget == math.ceil(math.log(cfg.fix_tol * (1.0 - b)) / math.log(b))
             assert 1 < res.iterations <= budget
@@ -614,6 +658,84 @@ class TestTruncationScheme:
         cfg = SolveConfig(grid=GridSpec.square(64, 2.0), fix_tol=1e-13)
         run = truncation_scheme(MuSpec.example4(), (4096.0,), 1.5, cfg)
         assert 1 < run.per_k[0].iterations < 200
+
+    def test_same_bytes_at_any_thread_count(self, monkeypatch):
+        # the levels' fixed points run on a pool of BELTRAMI_LAB_THREADS
+        # threads, which share the symbol cache; every level's f and
+        # updates, the KIp values and the distances keep their bytes, also
+        # with more threads than cores switching often
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for threads in ("1", "2", "3"):
+                monkeypatch.setenv("BELTRAMI_LAB_THREADS", threads)
+                solver._symbol.cache_clear()
+                run = truncation_scheme(MuSpec.example4(), (4.0, 8.0, 16.0), 1.5,
+                                        SolveConfig(grid=GridSpec.square(128, 2.0)))
+                runs.append((
+                    [(res.f.data.tobytes(), res.updates) for res in run.per_k],
+                    run.KIp_integrals, run.pairwise_sup_dist,
+                ))
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_kip_from_the_residual_derivatives(self):
+        # each level takes KIp from the derivatives its residual took, with
+        # the bits of grid_kip_integral of its f
+        run = truncation_scheme(MuSpec.example4(), (4.0, 16.0), 1.5,
+                                SolveConfig(grid=GridSpec.square(64, 2.0)))
+        assert run.KIp_integrals == tuple(grid_kip_integral(res, 1.5) for res in run.per_k)
+
+    def test_first_failing_level_raises(self, monkeypatch):
+        # levels 16 and 32 stop after 3 updates; the error is level 16's,
+        # as when the levels ran one after another, though the pool runs
+        # level 32 first
+        cfg = SolveConfig(grid=GridSpec.square(64, 2.0), max_iter=1)
+        b = truncate_mu(MuSpec.example4(), 16.0).sup_abs_bound()
+        limit = math.ceil(math.log(cfg.fix_tol * (1.0 - b)) / math.log(b))
+        fixed_point = solver._fixed_point
+
+        def stop_early(mu, x, y, grid, cfg_k):
+            if cfg_k.max_iter >= limit:
+                cfg_k = replace(cfg_k, max_iter=3)
+            return fixed_point(mu, x, y, grid, cfg_k)
+
+        monkeypatch.setattr(solver, "_fixed_point", stop_early)
+        with pytest.raises(SolveNonConvergence) as got:
+            truncation_scheme(MuSpec.example4(), (4.0, 8.0, 16.0, 32.0), 1.5, cfg)
+        with pytest.raises(SolveNonConvergence) as want:
+            solve_principal(truncate_mu(MuSpec.example4(), 16.0), replace(cfg, max_iter=3))
+        assert got.value.iterations == 3
+        assert got.value.partial.data.tobytes() == want.value.partial.data.tobytes()
+
+    def test_contraction_error_before_any_fixed_point(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a fixed point ran")
+
+        monkeypatch.setattr(solver, "_fixed_point", unreachable)
+        g = GridSpec.square(64, 2.0)
+        data = np.where(np.abs(g.zz()) < 0.5, 1.0 + 0.0j, 0.0j)
+        with pytest.raises(ContractionError):
+            truncation_scheme(MuSpec.from_grid(ComplexField(g, data)), (2.0, math.inf), 1.5,
+                              SolveConfig(grid=g))
+
+    def test_heap_peak_at_512(self):
+        # traced heap of a two-level 512^2 run with cold caches, in grid
+        # fields (one 512^2 complex128 array); 10.88 when the levels were
+        # solved one after another, each keeping its mu samples, and 10.38
+        # with the fixed points on the pool and the levels finished after
+        cfg = SolveConfig(grid=GridSpec.square(512, 2.0))
+        solver._symbol.cache_clear()
+        solver._disk_cell_weights.cache_clear()
+        tracemalloc.start()
+        try:
+            truncation_scheme(MuSpec.example4(), (4.0, 64.0), 1.5, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10.5 * 512 * 512 * 16
 
     def test_bad_schedule(self):
         cfg = SolveConfig(grid=GridSpec.square(64, 2.0))
