@@ -60,7 +60,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Sequence
@@ -149,15 +149,20 @@ class SolveNonConvergence(RuntimeError):
 
 def thread_count() -> int:
     """The library's thread budget, from BELTRAMI_LAB_THREADS (0 or unset
-    means the usable cores, at most 4): the size of truncation_scheme's
-    pool of fixed points.  Every FFT runs on one worker."""
+    means the cores this process may run on, at most 4): the size of
+    truncation_scheme's pool of fixed points.  Every FFT runs on one
+    worker."""
     raw = os.environ.get("BELTRAMI_LAB_THREADS", "0").strip()
     try:
         val = int(raw)
     except ValueError:
         val = 0
     if val <= 0:
-        return min(4, os.cpu_count() or 1)
+        try:
+            usable = len(os.sched_getaffinity(0))
+        except AttributeError:
+            usable = os.cpu_count() or 1
+        return min(4, usable)
     return val
 
 
@@ -391,16 +396,13 @@ class SolveResult:
     # perf_counter spans of the solve's phases: sample_mu, fixed_point,
     # cauchy, and residual (the derivatives of f included)
     phase_seconds: dict
+    # the wall time of solve_principal; None on truncation levels, whose
+    # phases do not run back to back
+    solve_seconds: float | None = None
 
     @property
     def iterations(self) -> int:
         return len(self.updates)
-
-    @property
-    def solve_seconds(self) -> float:
-        """The phases' seconds summed; a truncation level's phases do not
-        run back to back."""
-        return sum(self.phase_seconds.values())
 
     @property
     def fft_pairs(self) -> dict:
@@ -528,13 +530,14 @@ def _fixed_point(mu: np.ndarray, x: np.ndarray, y: np.ndarray, grid: GridSpec,
 
 @dataclass
 class _Level:
-    """A solve between its steps: mu and its config, mu's samples, their
-    sup and support box, the output of the fixed point once it has run
-    (_fixed_point's tuple), and the seconds of each phase so far."""
+    """A solve between its steps: mu and its config, mu's samples (handed
+    on by _finish), their sup and support box, the output of the fixed
+    point once it has run (_fixed_point's tuple), and the seconds of each
+    phase so far."""
 
     spec: MuSpec
     cfg: SolveConfig
-    mu_data: np.ndarray
+    mu_data: np.ndarray | None
     sup: float
     box: tuple
     seconds: dict
@@ -570,7 +573,7 @@ def _finish(level: _Level) -> tuple:
     derivatives; raises SolveNonConvergence, carrying f, if the fixed point
     did not converge."""
     h_box, updates, side, converged, single = level.fixed
-    level.fixed = None
+    mu_data, level.fixed, level.mu_data = level.mu_data, None, None
     grid, box, seconds = level.cfg.grid, level.box, level.seconds
     t0 = time.perf_counter()
     h = np.zeros((grid.ny, grid.nx), dtype=complex)
@@ -585,12 +588,12 @@ def _finish(level: _Level) -> tuple:
     if not converged:
         raise SolveNonConvergence(len(updates), updates[-1], f)
     derivatives = wirtinger_derivatives(f)
-    residual = residual_report(level.spec, level.mu_data, *derivatives)
+    residual = residual_report(level.spec, mu_data, *derivatives)
     seconds["residual"] = time.perf_counter() - t1
     return SolveResult(
         f=f,
         residual=residual,
-        mu_field=ComplexField(grid, level.mu_data),
+        mu_field=ComplexField(grid, mu_data),
         sup_mu=level.sup,
         updates=updates,
         complex64_iterations=single,
@@ -613,9 +616,12 @@ def solve_principal(mu: MuSpec, cfg: SolveConfig | None = None) -> SolveResult:
     carries the residual f_zbar - mu f_z of the finite-difference
     derivatives (see residual_report).
     """
+    t0 = time.perf_counter()
     level = _prepare(mu, cfg or SolveConfig())
     _iterate(level)
-    return _finish(level)[0]
+    res = _finish(level)[0]
+    res.solve_seconds = time.perf_counter() - t0
+    return res
 
 
 def residual_report(mu: MuSpec, mu_data: np.ndarray, f_z: ComplexField,
@@ -715,9 +721,9 @@ def truncation_scheme(
     thread timing, the levels are finished on the calling thread in
     schedule order, and each drops its mu samples (mu_field is None).  The
     first level in schedule order whose fixed point did not converge
-    raises SolveNonConvergence; if the wait is interrupted, the fixed
-    points not yet started are cancelled.  The result has the same bytes
-    at any thread count.
+    raises SolveNonConvergence; if a fixed point raises or the wait is
+    interrupted, those not yet started are cancelled.  The result has the
+    same bytes at any thread count.
     """
     ks = check_k_schedule(k_schedule)
     check_order_p(order_p)
@@ -734,16 +740,9 @@ def truncation_scheme(
     per_k: list[SolveResult] = []
     integrals = []
     with ThreadPoolExecutor(min(thread_count(), len(levels))) as pool:
-        runs = [pool.submit(_iterate, level) for level in reversed(levels)][::-1]
-        try:
-            wait(runs)
-        finally:
-            # an interrupted wait leaves no fixed point queued behind it
-            for run in runs:
-                run.cancel()
-    for run in runs:
-        run.result()
-        res, derivatives = _finish(levels.pop(0))
+        list(pool.map(_iterate, levels[::-1]))
+    for level in levels:
+        res, derivatives = _finish(level)
         res.mu_field = None
         integrals.append(_kip_integral(*derivatives, order_p))
         per_k.append(res)
