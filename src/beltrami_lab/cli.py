@@ -159,7 +159,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", default="out", dest="out_dir", help="output directory")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--config", default=None, help="JSON file mirroring flags")
 
     def field(p, mu):
@@ -206,6 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="dyadic exponent range lo:hi, scales 2^-lo .. 2^-hi")
     ph.add_argument("--compact-radius", type=float, default=0.75)
     ph.add_argument("--weight", default="auto", help=weight_help)
+    ph.add_argument("--seed", type=int, default=0)
     common(ph)
 
     pr = sub.add_parser("radial", help="profile table and modulus spot checks")
@@ -217,6 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          + ", ".join(sorted(_WEIGHTS)))
     pr.add_argument("--alpha", type=float, default=0.5)
     pr.add_argument("--pairs", type=int, default=20, help="random radius pairs")
+    pr.add_argument("--seed", type=int, default=0)
     common(pr)
 
     pd = sub.add_parser("dilatation", help="dilatation diagnostics")

@@ -4,7 +4,9 @@ The equation f_zbar = mu f_z with compactly supported mu is solved through
 the classical Neumann fixed point h <- mu S(h) + mu, where S is the
 Beurling transform; the principal solution is then f = z + C(h) with C the
 Cauchy transform.  Both transforms are frequency multipliers on a torus:
-the data sits in one corner of a zero-padded periodic buffer.
+the data sits in one corner of a zero-padded periodic buffer.  One torus
+operator (_torus_operator) serves the fixed point, the Cauchy step, the
+public transforms and check 09's beurling_norm_estimate.
 
 The fixed point runs on the bounding box of mu's nonzero samples, since h
 vanishes wherever mu does.  It iterates in two precisions, as iterative
@@ -107,7 +109,7 @@ COMPARE_RADIUS = 0.9
 DISK_SUBCELLS = 4
 # G4 = sum' (a + ib)^-4 over the unit square lattice (the lemniscatic case)
 G4_SQUARE_LATTICE = math.gamma(0.25) ** 8 / (960.0 * math.pi**2)
-# the fixed point's torus side over its support box side
+# a torus side over the side of the window the result is taken on
 TORUS_FACTOR = 1.5
 # the smallest fix_tol: below it round-off keeps the stop rule from ever
 # holding, and the iteration runs out its whole budget
@@ -179,22 +181,14 @@ def _symbol(shape: tuple, dx: float, dy: float, kind: str) -> np.ndarray:
         np.reciprocal(sym, out=sym)
         sym /= 1j * np.pi
     else:
-        # conj(kappa) / kappa = conj(kappa)^2 / |kappa|^2; the adjoint is
-        # its conjugate
+        # conj(kappa) / kappa = conj(kappa)^2 / |kappa|^2
         norm2 = (kx * kx)[None, :] + (ky * ky)[:, None]
         norm2[0, 0] = 1.0
-        if kind == "beurling":
-            np.conjugate(sym, out=sym)
+        np.conjugate(sym, out=sym)
         sym *= sym
         sym /= norm2
     sym[0, 0] = 0.0
     return sym
-
-
-def _torus_side(n: int) -> int:
-    """Side of the square torus for data n samples wide: the next fast FFT
-    length from TORUS_FACTOR n."""
-    return sfft.next_fast_len(math.ceil(TORUS_FACTOR * n))
 
 
 def _torus_window(a: np.ndarray, at: int, n: int, axis: int) -> np.ndarray:
@@ -232,75 +226,82 @@ def _apply_multiplier(data: np.ndarray, symbol: np.ndarray, at: tuple = (0, 0),
     return _torus_window(spec, at[1], nx, axis=1)
 
 
-def _padded_transform(data: np.ndarray, grid: GridSpec, kind: str) -> np.ndarray:
-    """Multiplier `kind` on the grid zero-padded to twice its side."""
-    symbol = _symbol((2 * grid.ny, 2 * grid.nx), grid.dx, grid.dy, kind)
-    return _apply_multiplier(data, symbol)
+def _torus_operator(kind: str, grid: GridSpec, x: np.ndarray, y: np.ndarray, at: tuple,
+                    x_out: np.ndarray, y_out: np.ndarray) -> tuple:
+    """The kernel of kind, "beurling" or "cauchy", periodized on a square
+    torus about TORUS_FACTOR times the window's side: data on the tensor box
+    of node abscissas x and ordinates y goes to the window x_out, y_out, in
+    which the box sits at offset at.  Returns the complex128 symbol,
+    remainder() (the lattice terms' map R, built on first use, after the
+    first multiplier) and apply(data, symbol=symbol): the multiplier plus R,
+    in the precision of the symbol."""
+    side = sfft.next_fast_len(math.ceil(TORUS_FACTOR * max(x_out.size, y_out.size)))
+    period = side * grid.dx
+    # zeta' = -wp: the Cauchy kernel's terms integrate the Beurling kernel's
+    odd = kind == "cauchy"
+    terms = tuple((c / ((2 * k - 1 if odd else 1) * math.pi * period ** (2 * k)),
+                   2 * k - 2 + odd) for k, c in _laurent_coefficients())
+    symbol = _symbol((side, side), grid.dx, grid.dy, kind)
+
+    @lru_cache(maxsize=None)
+    def remainder():
+        return _polynomial_kernel(terms, x, y, grid.cell_area, x_out, y_out)
+
+    def apply(data: np.ndarray, symbol: np.ndarray = symbol) -> np.ndarray:
+        out = _apply_multiplier(data, symbol, at, (y_out.size, x_out.size))
+        out += remainder()(data)
+        return out
+
+    return symbol, remainder, apply
 
 
-def _check_boundary_support(h: ComplexField) -> None:
-    d = np.abs(h.data)
-    peak = d.max()
-    if peak == 0.0:
-        return
-    frame = max(d[:2, :].max(), d[-2:, :].max(), d[:, :2].max(), d[:, -2:].max())
-    if frame > 1e-5 * peak:
-        raise PaddingError(
-            "field support reaches the grid boundary "
-            f"(edge magnitude {frame:.3e} vs peak {peak:.3e})"
-        )
+def _grid_transform(h: ComplexField, kind: str) -> ComplexField:
+    """The torus operator of kind on h's support box, taken on the whole
+    grid, plus the Cauchy kernel's zbar term.  The lattice is square only on
+    a square grid of square cells; h must vanish near the grid boundary."""
+    grid = h.grid
+    if grid.nx != grid.ny or not math.isclose(grid.dx, grid.dy, rel_tol=1e-12):
+        raise ValueError(f"{kind}_transform needs a square torus (nx == ny, dx == dy)")
+    peak = np.abs(h.data).max()
+    frame = max(np.abs(e).max() for e in (h.data[:2], h.data[-2:], h.data[:, :2], h.data[:, -2:]))
+    if peak > 0.0 and frame > 1e-5 * peak:
+        raise PaddingError("field support reaches the grid boundary "
+                           f"(edge magnitude {frame:.3e} vs peak {peak:.3e})")
+    rows, cols = _support_box(h.data)
+    xs, ys = grid.xs(), grid.ys()
+    hb, x, y = h.data[rows, cols], xs[cols], ys[rows]
+    symbol, _, apply = _torus_operator(kind, grid, x, y, (rows.start, cols.start), xs, ys)
+    out = apply(hb)
+    if kind == "cauchy":
+        # (1/P^2) int (zbar - wbar) h dA, with P^2 the area of the torus:
+        # zbar times h's mean over the torus, the zero mode the multiplier
+        # drops, less the first moment of h over that area
+        wbar = grid.cell_area * (hb.sum(axis=0) @ x - 1j * (hb.sum(axis=1) @ y))
+        mean = complex(hb.sum() / symbol.size)
+        out += (mean * xs - wbar / (symbol.shape[0] * grid.dx)**2)[None, :]
+        out -= (1j * mean * ys)[:, None]
+    return ComplexField(grid, out)
 
 
 def cauchy_transform(h: ComplexField) -> ComplexField:
     """Solid Cauchy transform: the discrete dbar of the output equals h.
 
-    The frequency multiplier is the Cauchy kernel periodized on a square
-    torus about TORUS_FACTOR times the grid's side; only h's support box is
-    transformed, and the result is taken on the whole grid.  The zbar term
-    and the zeta terms of the module docstring are added back, from moments
-    over that box.  Without the zbar term the output of compactly supported
-    data is off by a linear deficit at interior points, and without the
-    constant in it by an offset that grows with the distance of h's support
-    from 0.  The zeta series stops at z^11, so its error is of order
-    (|z - w| / P)^15; on solver inputs |z - w| / P <= 0.69.  The lattice is
-    square only on a square grid of square cells, and other grids are
-    rejected.  h must vanish near the grid boundary."""
-    grid = h.grid
-    if grid.nx != grid.ny or not math.isclose(grid.dx, grid.dy, rel_tol=1e-12):
-        raise ValueError("cauchy_transform needs a square torus (nx == ny, dx == dy)")
-    _check_boundary_support(h)
-    side = _torus_side(grid.nx)
-    period = side * grid.dx
-    rows, cols = _support_box(h.data)
-    xs, ys = grid.xs(), grid.ys()
-    hb, x, y = h.data[rows, cols], xs[cols], ys[rows]
-    symbol = _symbol((side, side), grid.dx, grid.dy, "cauchy")
-    out = _apply_multiplier(hb, symbol, at=(rows.start, cols.start),
-                            out_shape=h.data.shape)
-    terms = tuple((c / ((2 * k - 1) * math.pi * period ** (2 * k)), 2 * k - 1)
-                  for k, c in _laurent_coefficients())
-    out += _polynomial_kernel(terms, x, y, grid.cell_area, xs, ys)(hb)
-    # (1/P^2) int (zbar - wbar) h dA, with P^2 the area of the torus: zbar
-    # times h's mean over the torus, the zero mode the multiplier drops,
-    # less the first moment of h over that area
-    wbar = grid.cell_area * (hb.sum(axis=0) @ x - 1j * (hb.sum(axis=1) @ y))
-    mean = complex(hb.sum() / side**2)
-    out += (mean * xs - wbar / period**2)[None, :]
-    out -= (1j * mean * ys)[:, None]
-    return ComplexField(grid, out)
+    _grid_transform adds back the zbar and zeta terms of the module
+    docstring, from moments over h's support box.  Without the zbar term
+    the output of compactly supported data is off by a linear deficit at
+    interior points, and without the constant in it by an offset that grows
+    with the distance of h's support from 0.  The zeta series stops at
+    z^11, so its error is of order (|z - w| / P)^15; on solver inputs
+    |z - w| / P <= 0.69."""
+    return _grid_transform(h, "cauchy")
 
 
 def beurling_transform(h: ComplexField) -> ComplexField:
     """Beurling transform: carries dbar g to d g for compactly supported
-    smooth g; an L2 contraction in this discretization.
-
-    It stays on the grid zero-padded to twice its side, with no lattice
-    term, and not on the 1.5x torus of the fixed point and the Cauchy step:
-    acceptance check 09 and beurling_norm_estimate need the exact L2
-    contraction of the plain frequency multiplier.  Its FFTs take the same
-    pruned passes (_apply_multiplier) with the bits of fft2 and ifft2."""
-    _check_boundary_support(h)
-    return ComplexField(h.grid, _padded_transform(h.data, h.grid, "beurling"))
+    smooth g.  It is the operator the fixed point applies, with the wp
+    terms of the module docstring, taken on the whole grid
+    (_grid_transform); beurling_norm_estimate bounds its norm."""
+    return _grid_transform(h, "beurling")
 
 
 def _laurent_coefficients() -> tuple:
@@ -492,16 +493,10 @@ def _fixed_point(mu: np.ndarray, x: np.ndarray, y: np.ndarray, grid: GridSpec,
     fix_tol are judged in complex128 only.  A mu with no nonzero sample
     starts in complex128.
 
-    S runs on a square torus of side about TORUS_FACTOR times the box side,
-    plus the three lattice terms of the torus kernel (see the module
-    docstring)."""
-    side = _torus_side(max(mu.shape))
-    period = side * grid.dx
-    terms = tuple((c / (math.pi * period ** (2 * k)), 2 * k - 2)
-                  for k, c in _laurent_coefficients())
-    remainder = _polynomial_kernel(terms, x, y, grid.cell_area, x, y)
+    S is the Beurling torus operator of the box (_torus_operator), on a
+    square torus of side about TORUS_FACTOR times the box side."""
+    symbol, _, apply = _torus_operator("beurling", grid, x, y, (0, 0), x, y)
     weight = math.sqrt(grid.cell_area)
-    symbol = _symbol((side, side), grid.dx, grid.dy, "beurling")
     # the complex64 symbol lives only as long as its phase; the cache holds
     # the complex128 one
     low, switch = bool(mu.any()), 0
@@ -509,8 +504,8 @@ def _fixed_point(mu: np.ndarray, x: np.ndarray, y: np.ndarray, grid: GridSpec,
     sym_k = symbol.astype(np.complex64) if low else symbol
     updates: list[float] = []
     for _ in range(cfg.max_iter):
-        s_h = _apply_multiplier(h, sym_k)
-        s_h += remainder(h)
+        # S(h) is named: as one expression, mu * S(h) + mu rounds differently
+        s_h = apply(h, sym_k)
         h_new = mu_k * s_h + mu_k
         delta = float(np.linalg.norm(h_new - h)) * weight
         updates.append(delta)
@@ -520,11 +515,11 @@ def _fixed_point(mu: np.ndarray, x: np.ndarray, y: np.ndarray, grid: GridSpec,
         bound_met = delta == 0.0 or (q is not None and q < 1.0 and delta * q / (1.0 - q)
                                      <= tol * float(np.linalg.norm(h)) * weight)
         if not low and bound_met:
-            return h, tuple(updates), side, True, switch
+            return h, tuple(updates), symbol.shape[0], True, switch
         if low and (bound_met or q is not None and q >= 1.0):
             low, switch = False, len(updates)
             mu_k, sym_k, h = mu, symbol, h.astype(np.complex128)
-    return (h.astype(np.complex128, copy=False), tuple(updates), side, False,
+    return (h.astype(np.complex128, copy=False), tuple(updates), symbol.shape[0], False,
             len(updates) if low else switch)
 
 
@@ -766,20 +761,24 @@ def truncation_scheme(
 
 def beurling_norm_estimate() -> float:
     """Power-iteration estimate (30 steps from a seed-0 random start) of
-    the discrete L2 norm of the Beurling transform restricted to fields
-    supported in the unit disk, on the 256^2 grid over [-2, 2]^2."""
+    the discrete L2 norm of the fixed point's Beurling operator on fields
+    supported in the unit disk: the torus operator of the disk's support
+    box on the 256^2 grid over [-2, 2]^2.  Its adjoint is the conjugate
+    symbol's multiplier plus conj(R(conj v)), since the lattice terms'
+    kernel (z - w)^(2k-2) is symmetric in z and w."""
     grid = GridSpec.square(256, 2.0)
-    rng = np.random.default_rng(0)
     mask = np.abs(grid.zz()) < 1.0
+    rows, cols = _support_box(mask)
+    mask, x, y = mask[rows, cols], grid.xs()[cols], grid.ys()[rows]
+    symbol, remainder, apply = _torus_operator("beurling", grid, x, y, (0, 0), x, y)
+    adjoint = np.conj(symbol)
+    rng = np.random.default_rng(0)
     v = rng.standard_normal(mask.shape) + 1j * rng.standard_normal(mask.shape)
     v = np.where(mask, v, 0.0)
-    v /= np.linalg.norm(v)
-    est = 0.0
     for _ in range(30):
-        w = _padded_transform(v, grid, "beurling")
-        back = _padded_transform(w, grid, "beurling_adj")
+        w = apply(v)
+        back = _apply_multiplier(w, adjoint) + np.conj(remainder()(np.conj(w)))
         back = np.where(mask, back, 0.0)
         lam = float(np.linalg.norm(back))
-        est = math.sqrt(lam)
         v = back / lam
-    return est
+    return math.sqrt(lam)

@@ -259,7 +259,7 @@ class TestAcceptance:
 
     def test_10_cli_runs_are_reproducible(self, tmp_path):
         plans = [
-            ["solve", "--mu", "const:0.3", "--grid", "64", "--seed", "3"],
+            ["solve", "--mu", "const:0.3", "--grid", "64"],
             ["holder", "--map", "identity", "--pairs", "60", "--scales", "3:9",
              "--seed", "3"],
             ["radial", "--profile", "example2", "--m", "4", "--pairs", "6",

@@ -133,52 +133,64 @@ class TestCauchyTransform:
         err = np.max(np.abs(out.data - np.conj(zz))[mask])
         assert err < 5e-3
 
-    def test_matches_wide_torus_on_the_whole_grid(self, monkeypatch):
+    @pytest.mark.parametrize("transform, bound", [(cauchy_transform, 1e-5),
+                                                  (beurling_transform, 1e-4)],
+                             ids=["cauchy", "beurling"])
+    def test_matches_wide_torus_on_the_whole_grid(self, transform, bound, monkeypatch):
         # reference: the multiplier on a torus 8 times the grid's side, where
-        # the zeta terms are small, with the zbar term and all of them added;
-        # on the 1.5x torus z^3 alone leaves 3.8e-4, and the 2x torus with z^3
-        # left 4.0e-5
+        # the lattice terms are small, with all of them added, and the zbar
+        # term for the Cauchy kernel; on the 1.5x torus the first lattice
+        # term alone leaves 3.8e-4 (Cauchy) and 7.9e-4 (Beurling), and the
+        # plain multiplier on the 2x torus 4.0e-5 with z^3 (Cauchy) and
+        # 1.0e-3 with no term (Beurling)
         g = GridSpec.square(128, 2.0)
         h = ComplexField(g, _off_centre_bump(g))
         side = 8 * g.nx
         period = side * g.dx
-        symbol = solver._symbol((side, side), g.dx, g.dy, "cauchy")
+        odd = transform is cauchy_transform
+        kind = "cauchy" if odd else "beurling"
+        symbol = solver._symbol((side, side), g.dx, g.dy, kind)
         ref = sfft.ifft2(sfft.fft2(h.data, s=(side, side)) * symbol)[:g.ny, :g.nx]
         xs, ys, zz = g.xs(), g.ys(), g.zz()
-        terms = tuple((c / ((2 * k - 1) * math.pi * period ** (2 * k)), 2 * k - 1)
-                      for k, c in solver._laurent_coefficients())
+        terms = tuple((c / ((2 * k - 1 if odd else 1) * math.pi * period ** (2 * k)),
+                       2 * k - 2 + odd) for k, c in solver._laurent_coefficients())
         ref += solver._polynomial_kernel(terms, xs, ys, g.cell_area, xs, ys)(h.data)
-        ref += (h.data.sum() / side**2 * np.conj(zz)
-                - g.cell_area * np.sum(np.conj(zz) * h.data) / period**2)
+        if odd:
+            ref += (h.data.sum() / side**2 * np.conj(zz)
+                    - g.cell_area * np.sum(np.conj(zz) * h.data) / period**2)
 
         def error():
-            return np.max(np.abs(cauchy_transform(h).data - ref))
+            return np.max(np.abs(transform(h).data - ref))
 
-        assert error() <= 1e-5
+        assert error() <= bound
         first = solver._laurent_coefficients()[:1]
         monkeypatch.setattr(solver, "_laurent_coefficients", lambda: first)
-        assert error() > 1e-5
+        assert error() > bound
 
     def test_zero_field(self):
         g = GridSpec.square(64, 2.0)
         out = cauchy_transform(ComplexField(g, np.zeros((64, 64))))
         assert np.max(np.abs(out.data)) == 0.0
 
-    def test_boundary_support_rejected(self):
+    @pytest.mark.parametrize("transform", [cauchy_transform, beurling_transform],
+                             ids=["cauchy", "beurling"])
+    def test_boundary_support_rejected(self, transform):
         g = GridSpec.square(64, 2.0)
         data = np.zeros((64, 64), dtype=complex)
         data[:, 0] = 1.0
         with pytest.raises(PaddingError):
-            cauchy_transform(ComplexField(g, data))
+            transform(ComplexField(g, data))
 
     @pytest.mark.parametrize("nx, ny", [(160, 128), (128, 160), (200, 128)])
     def test_non_square_torus_rejected(self, nx, ny):
         # the lattice terms assume a square torus; on a 160 x 128 grid of
-        # square cells the error on an averaged disk was 3.8x the 128 x 128 one
+        # square cells the error on an averaged disk was 3.8x the 128 x 128
+        # one; both public transforms run the one torus path
         step = 4.0 / 127
         g = GridSpec(nx, ny, -2.0, -2.0, step, step)
-        with pytest.raises(ValueError, match="square torus"):
-            cauchy_transform(_disk_indicator(g))
+        for transform in (cauchy_transform, beurling_transform):
+            with pytest.raises(ValueError, match="square torus"):
+                transform(_disk_indicator(g))
 
 
 class TestBeurlingTransform:
@@ -447,10 +459,10 @@ class TestSolvePrincipal:
         assert 0.0 <= np.angle(z) < math.pi / 4
 
     def test_lattice_correction_matches_wide_torus(self, monkeypatch):
-        # reference: the same Neumann loop through the public Beurling
-        # transform on a grid 128 cells wider on each side, whose padded
-        # torus is about 5x the solver's support-box torus; both sides share
-        # the Cauchy step so only the fixed point is compared
+        # reference: the same Neumann loop through the plain Beurling
+        # multiplier on a grid 128 cells wider on each side, zero-padded to
+        # twice its side, a torus about 5x the solver's support-box torus;
+        # both sides share the Cauchy step so only the fixed point is compared
         g = GridSpec.square(256, 2.0)
         pad = 128
         wide = GridSpec(g.nx + 2 * pad, g.ny + 2 * pad, g.x_min - pad * g.dx,
@@ -461,9 +473,12 @@ class TestSolvePrincipal:
         spec = MuSpec.from_grid(ComplexField(g, _off_centre_bump(g)))
         cfg = SolveConfig(grid=g, fix_tol=1e-10)
         mu = _off_centre_bump(wide)
-        h = mu.copy()
+        torus = (2 * wide.ny, 2 * wide.nx)
+        symbol = solver._symbol(torus, wide.dx, wide.dy, "beurling")
+        h = mu.astype(complex)
         for _ in range(cfg.max_iter):
-            h_new = mu * beurling_transform(ComplexField(wide, h)).data + mu
+            s_h = sfft.ifft2(sfft.fft2(h, s=torus) * symbol)[:wide.ny, :wide.nx]
+            h_new = mu * s_h + mu
             delta = np.linalg.norm(h_new - h) * g.dx
             h = h_new
             if delta <= 1e-10:
