@@ -223,6 +223,14 @@ _L1_MAX_SHELLS = 40
 _L1_GROWTH_FACTOR = 6.0
 
 
+def _steady_ratio(terms: list) -> float | None:
+    """The last term ratio of a steady decay (see l1_norm), else None."""
+    if len(terms) < 3 or min(terms[-3:]) <= 0.0:
+        return None
+    r1, r2 = terms[-2] / terms[-3], terms[-1] / terms[-2]
+    return r2 if r2 < 1.0 and abs(r2 - r1) <= 1e-4 * r2 else None
+
+
 def l1_norm(weight: RadialWeight) -> L1Report:
     """Mass of the weight over the unit ball, by dyadic radial shells.
 
@@ -231,8 +239,13 @@ def l1_norm(weight: RadialWeight) -> L1Report:
     terms decay geometrically (ratio <= 0.6) and the geometric tail estimate
     drops below the quadrature tolerance; it is flagged divergent (value =
     inf, partial sum reported) once at least 8 shells are in, the last three
-    terms stay above 5% of the largest term, and the partial sum exceeds 6
-    times the largest single term.  At most 40 shells are summed.
+    terms stay above 5% of the largest term, the partial sum exceeds 6
+    times the largest single term and the decay is not steady (the last two
+    term ratios below 1 and equal to 1e-4 relative).  At most 40 shells are
+    summed; a steady decay with ratio r then adds its tail c r / (1 - r)
+    (example3's image weight decays by 2^(alpha-2) per shell).  Otherwise
+    the sum is divergent if it exceeds 6 times its largest term, and
+    QuadratureNonConvergence is raised if not.
     """
     omega = unit_sphere_area(weight.n)
     expn = weight.n - 1.0
@@ -270,8 +283,13 @@ def l1_norm(weight: RadialWeight) -> L1Report:
             len(terms) >= 8
             and min(terms[-3:]) >= 0.05 * biggest
             and partial >= _L1_GROWTH_FACTOR * biggest
+            and _steady_ratio(terms) is None
         ):
             return L1Report(math.inf, True, partial, tuple(edges), tuple(terms))
+    ratio = _steady_ratio(terms)
+    if ratio is not None:
+        tail = terms[-1] * ratio / (1.0 - ratio)
+        return L1Report(partial + tail, False, partial, tuple(edges), tuple(terms))
     if partial >= _L1_GROWTH_FACTOR * max(terms):
         return L1Report(math.inf, True, partial, tuple(edges), tuple(terms))
     raise QuadratureNonConvergence(partial, math.inf, 0)
@@ -305,7 +323,7 @@ def spherical_integrability_scan(Q, y0, radii: Sequence[float]) -> Integrability
                 means.append(float(Q.q(r)))
             else:
                 means.append(spherical_mean(Q, y0, r))
-        except OverflowError:  # a mean past the float range is infinite
+        except ArithmeticError:  # a mean past the float range is infinite
             means.append(math.inf)
     flags = [math.isfinite(v) for v in means]
     measure = 0.0

@@ -545,7 +545,7 @@ def _prepare(mu: MuSpec, cfg: SolveConfig) -> _Level:
     t0 = time.perf_counter()
     mu_data = _sample_mu(mu, cfg.grid)
     sup = float(np.max(np.abs(mu_data)))
-    if sup >= 1.0 - 1e-9:
+    if not sup < 1.0 - 1e-9:  # a NaN sup fails this test too
         raise ContractionError(f"ess-sup |mu| = {sup:.12f} is not below 1")
     return _Level(mu, cfg, mu_data, sup, _support_box(mu_data),
                   {"sample_mu": time.perf_counter() - t0})

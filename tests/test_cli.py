@@ -513,6 +513,15 @@ class TestHolderCommand:
         )
         assert code == 0
 
+    def test_example3_weight_mass_near_the_alpha_limit(self, tmp_path):
+        # the image weight's shell terms shrink by 2^-0.5 per shell
+        out = str(tmp_path / "run")
+        code = main(["holder", "--map", "example3", "--alpha", "1.5", "--pairs", "50",
+                     "--scales", "3:8", "--out", out])
+        assert code == 0
+        doc = _read_json(os.path.join(out, "holder.summary.json"))
+        assert doc["results"]["q_l1"] == pytest.approx(2.0 * math.pi / 1.5 * 2.5, rel=1e-12)
+
 
 class TestRadialCommand:
     def test_example2_profile_run(self, tmp_path):

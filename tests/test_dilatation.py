@@ -286,6 +286,15 @@ class TestWeightMass:
         assert not rep.divergent
         assert rep.value == pytest.approx(2.0 * math.pi * 7.0 / 3.0, rel=1e-8)
 
+    @pytest.mark.parametrize("a", [1.2, 1.5, 1.8, 1.9, 1.99])
+    def test_slowly_decaying_image_weight_mass(self, a):
+        # the shell terms shrink by 2^(a-2), too slowly for the in-loop
+        # tail test; the mass is 2 pi / a (1/2 + 1/(2 - a))
+        rep = l1_norm(E3.image_weight(a))
+        assert not rep.divergent
+        exact = 2.0 * math.pi / a * (0.5 + 1.0 / (2.0 - a))
+        assert rep.value == pytest.approx(exact, rel=1e-12)
+
     def test_borderline_power_divergent(self):
         rep = l1_norm(power_weight(2))
         assert rep.divergent
@@ -332,6 +341,10 @@ class TestIntegrabilityScan:
         # q(t) = t^-2 overflows at t = 1e-200
         scan = spherical_integrability_scan(power_weight(2), None, (0.5, 1e-200))
         assert scan.means == (math.inf, 4.0)
+        assert scan.finite == (False, True)
+        # example3's image weight divides by s^1.99, which underflows to 0
+        scan = spherical_integrability_scan(E3.image_weight(1.99), None, (0.5, 1e-300))
+        assert scan.means[0] == math.inf
         assert scan.finite == (False, True)
 
 

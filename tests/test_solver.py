@@ -304,13 +304,17 @@ class TestSolvePrincipal:
         assert counts[0.5] == pytest.approx(0.8, abs=0.3)
         assert counts[0.9] == pytest.approx(0.8, abs=0.3)
 
-    def test_contraction_violation(self):
+    def test_contraction_violation(self, monkeypatch):
+        seen = _spy_iterates(monkeypatch)
         g = GridSpec.square(64, 2.0)
         zz = g.zz()
         data = np.where(np.abs(zz) < 0.5, 1.0 + 0.0j, 0.0j)
-        with pytest.raises(ContractionError):
-            solve_principal(MuSpec.from_grid(ComplexField(g, data)),
-                            SolveConfig(grid=g))
+        # a field that returns NaN has a NaN sup, which is not below 1 either
+        nan_spec = MuSpec("nan", lambda z: complex(math.nan), 0.5, lambda k: ())
+        for spec in (MuSpec.from_grid(ComplexField(g, data)), nan_spec):
+            with pytest.raises(ContractionError):
+                solve_principal(spec, SolveConfig(grid=g))
+        assert seen == []
 
     def test_non_convergence_carries_partial(self):
         cfg = SolveConfig(grid=GridSpec.square(64, 2.0), max_iter=3)

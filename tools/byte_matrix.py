@@ -1,17 +1,23 @@
-"""Run the 30-command CLI matrix and print one digest line per command.
+"""Run the 32-command CLI matrix and print one digest line per command.
 
     python3 tools/byte_matrix.py SRC_DIR
 
 SRC_DIR is the directory that holds the ``beltrami_lab`` package (``src``
 in a checkout).  Every command runs in-process through ``cli.main`` with
-``BELTRAMI_LAB_THREADS=2``, each in its own output directory under a
-temporary directory that is removed afterwards.  A line holds the command,
-its exit code and the first 12 hex digits of the sha256 of each output
-file; ``summary`` hashes the sorted-key JSON of the summary's ``results``,
+``BELTRAMI_LAB_THREADS=2`` and BLAS pinned to one thread, as the benchmark
+pins it (the BLAS thread count changes the bits of the solver's small
+matrix products), each in its own output directory under a temporary
+directory that is removed afterwards.  A line holds the command, its exit
+code and the first 12 hex digits of the sha256 of each output file;
+``summary`` hashes the sorted-key JSON of the summary's ``results``,
 ``checks``, ``error`` and ``non_finite``.  FILE is the ``mu.cfld`` of the
-second command; ``report`` merges the summaries of commands 1, 10 and 20.
-Two checkouts give the same bytes when their outputs are identical, so
-comparing them is one ``diff``.
+second command; commands 31 and 32 are the benchmark's two 512² solver
+workloads; ``report`` merges the summaries of commands 1, 10 and 20.  A
+``solve`` or ``truncate`` line then gives, after ``|``, the work counts of
+its ``metrics`` block, one group per truncation level: the fixed point's
+updates, how many ran in complex64, the FFT pairs by precision and the
+torus side.  Digests and counts do not depend on timing, so comparing two
+checkouts is one ``diff``.
 """
 
 from __future__ import annotations
@@ -56,6 +62,8 @@ MATRIX = (
     "radial --profile numeric --weight example4-image --pairs 3",
     "radial --profile numeric --weight power --n 3 --pairs 3",
     "radial --profile numeric --weight example3-image --alpha 0.01 --pairs 2",
+    "solve --mu example3 --alpha 0.5 --k 10 --grid 512",
+    "truncate --mu example4 --k 4,8,16,32,64 --grid 512",
 )
 # commands (1-based) whose summaries the closing report merges
 REPORTED = (1, 10, 20)
@@ -65,12 +73,11 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:12]
 
 
-def _summary_digest(path: str) -> str:
-    with open(path) as fh:
-        doc = json.load(fh)
-    kept = {"results": doc.get("results", {}), "checks": doc.get("checks"),
-            "error": doc.get("error"), "non_finite": doc.get("non_finite")}
-    return _digest(json.dumps(kept, sort_keys=True).encode())
+def _counts(metrics: dict) -> str:
+    pairs = " ".join(f"{k}={v}" for k, v in sorted(metrics["fft_pairs"].items()))
+    return (f"updates={len(metrics['updates'])} "
+            f"complex64_iterations={metrics['complex64_iterations']} "
+            f"fft_pairs {pairs} torus_side={metrics['torus_side']}")
 
 
 def _quiet(fn, args):
@@ -86,8 +93,17 @@ def _describe(out_dir: str, command: str) -> str:
             continue
         with open(os.path.join(out_dir, name), "rb") as fh:
             parts.append(f"{name}:{_digest(fh.read())}")
-    parts.append("summary:" + _summary_digest(
-        os.path.join(out_dir, f"{command}.summary.json")))
+    with open(os.path.join(out_dir, f"{command}.summary.json")) as fh:
+        doc = json.load(fh)
+    kept = {"results": doc.get("results", {}), "checks": doc.get("checks"),
+            "error": doc.get("error"), "non_finite": doc.get("non_finite")}
+    parts.append("summary:" + _digest(json.dumps(kept, sort_keys=True).encode()))
+    metrics = doc.get("metrics") or {}
+    if command == "solve" and metrics:
+        parts.append("| " + _counts(metrics))
+    elif command == "truncate":
+        ks = doc.get("results", {}).get("k_schedule", [])
+        parts += [f"| k={k:g} {_counts(level)}" for k, level in zip(ks, metrics.get("levels", []))]
     return " ".join(parts)
 
 
@@ -95,7 +111,8 @@ def main(argv: list) -> int:
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
-    os.environ["BELTRAMI_LAB_THREADS"] = "2"
+    os.environ.update(BELTRAMI_LAB_THREADS="2", OMP_NUM_THREADS="1",
+                      OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     sys.path.insert(0, os.path.abspath(argv[0]))
     from beltrami_lab import cli
 
