@@ -121,8 +121,9 @@ FIX_TOL_FLOOR = 1e-13
 SWITCH_TOL = 1e-5
 # residual_report's worst point is picked among the retained points whose
 # residual is at least (1 - WORST_POINT_RTOL) times the largest, so that
-# round-off ties between points of a symmetric orbit cannot decide it
-WORST_POINT_RTOL = 1e-9
+# round-off ties between points of a symmetric orbit cannot decide it; it
+# sits above the ~3e-8 relative round-off the complex64 phase leaves in h
+WORST_POINT_RTOL = 1e-6
 
 
 class PaddingError(ValueError):
@@ -150,22 +151,14 @@ class SolveNonConvergence(RuntimeError):
 
 
 def thread_count() -> int:
-    """The library's thread budget, from BELTRAMI_LAB_THREADS (0 or unset
-    means the cores this process may run on, at most 4): the size of
-    truncation_scheme's pool of fixed points.  Every FFT runs on one
-    worker."""
-    raw = os.environ.get("BELTRAMI_LAB_THREADS", "0").strip()
+    """The cores this process may run on, at most 4: the size of
+    truncation_scheme's pool of fixed points, set through the process's
+    CPU affinity mask (taskset).  Every FFT runs on one worker."""
     try:
-        val = int(raw)
-    except ValueError:
-        val = 0
-    if val <= 0:
-        try:
-            usable = len(os.sched_getaffinity(0))
-        except AttributeError:
-            usable = os.cpu_count() or 1
-        return min(4, usable)
-    return val
+        usable = len(os.sched_getaffinity(0))
+    except AttributeError:
+        usable = os.cpu_count() or 1
+    return min(4, usable)
 
 
 @lru_cache(maxsize=8)
@@ -504,7 +497,9 @@ def _fixed_point(mu: np.ndarray, x: np.ndarray, y: np.ndarray, grid: GridSpec,
     sym_k = symbol.astype(np.complex64) if low else symbol
     updates: list[float] = []
     for _ in range(cfg.max_iter):
-        # S(h) is named: as one expression, mu * S(h) + mu rounds differently
+        # S(h) is named: in one expression, numpy multiplies into S(h)'s
+        # unnamed buffer in place once it passes 256 KiB, and that loop
+        # rounds differently
         s_h = apply(h, sym_k)
         h_new = mu_k * s_h + mu_k
         delta = float(np.linalg.norm(h_new - h)) * weight
@@ -709,8 +704,9 @@ def truncation_scheme(
 
     The levels are independent.  Each is sampled on the calling thread
     first, so a ContractionError comes before any iteration.  Their fixed
-    points then run on a pool of thread_count() threads, at most one per
-    level, highest k first since those run longest.  They touch only
+    points then run on a pool of thread_count() threads, one per core the
+    process's affinity mask allows (at most 4) and at most one per level,
+    highest k first since those run longest.  They touch only
     box-sized arrays, so every full-grid array is made on the calling
     thread.  Once all have run, so that the heap peak does not depend on
     thread timing, the levels are finished on the calling thread in

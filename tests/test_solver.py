@@ -446,21 +446,33 @@ class TestSolvePrincipal:
 
     def test_worst_point_ignores_round_off_ties(self):
         # |z|^2 is symmetric under z -> iz, so its largest value on the
-        # retained disk ties at several nodes; a 1e-12 relative perturbation
-        # must not move the reported one
+        # retained disk ties at several nodes; a relative perturbation of
+        # 1e-12, or of 3e-8 as the complex64 phase leaves, must not move
+        # the reported one
         g = GridSpec.square(129, 2.0)
         spec = MuSpec.constant(0.0)
         ones = ComplexField(g, np.ones((g.ny, g.nx)))
         r2 = np.abs(g.zz()) ** 2 + 0j
         rng = np.random.default_rng(5)
         points = set()
-        for eps in (0.0, 1e-12, -1e-12):
+        for eps in (0.0, 1e-12, -1e-12, 3e-8, -3e-8):
             noisy = r2 * (1.0 + eps * rng.standard_normal(r2.shape))
             rep = residual_report(spec, np.zeros(r2.shape), ones, ComplexField(g, noisy))
             points.add(rep.worst_point)
         assert len(points) == 1
         (z,) = points
         assert 0.0 <= np.angle(z) < math.pi / 4
+
+    def test_worst_point_does_not_depend_on_fix_tol(self):
+        # example3's residual ties over a symmetric orbit; the round-off a
+        # looser fix_tol leaves in h must not pick another point of it
+        spec = truncate_mu(MuSpec.example3(0.5), 10.0)
+        points = {
+            solve_principal(spec, SolveConfig(grid=GridSpec.square(128, 2.0),
+                                              fix_tol=tol)).residual.worst_point
+            for tol in (1e-6, 1e-9)
+        }
+        assert len(points) == 1
 
     def test_lattice_correction_matches_wide_torus(self, monkeypatch):
         # reference: the same Neumann loop through the plain Beurling
@@ -668,7 +680,7 @@ class TestTruncationScheme:
 
         monkeypatch.setattr(solver, "_fixed_point", spy)
         # one pool thread runs the levels' fixed points highest K first
-        monkeypatch.setenv("BELTRAMI_LAB_THREADS", "1")
+        monkeypatch.setattr(solver, "thread_count", lambda: 1)
         ks = (64.0, 256.0, 1024.0, 4096.0)
         cfg = SolveConfig(grid=GridSpec.square(128, 2.0), max_iter=1)
         run = truncation_scheme(MuSpec.example4(), ks, 1.5, cfg)
@@ -750,26 +762,26 @@ class TestTruncationScheme:
 
 class TestThreads:
     def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("BELTRAMI_LAB_THREADS", "2")
-        assert thread_count() == 2
-        # 0 or unset: the cores this process may run on, at most 4
+        # the cores this process may run on, at most 4, whatever the
+        # environment holds: with os.environ gone the count is the same
         usable = min(4, len(os.sched_getaffinity(0)))
-        monkeypatch.setenv("BELTRAMI_LAB_THREADS", "0")
         assert thread_count() == usable
-        monkeypatch.delenv("BELTRAMI_LAB_THREADS")
-        assert thread_count() == usable
+        with monkeypatch.context() as m:
+            m.setattr(os, "environ", None)
+            count = thread_count()
+        assert count == usable
 
     def test_thread_count_does_not_change_f(self, monkeypatch):
-        # the levels' fixed points run on a pool of BELTRAMI_LAB_THREADS
-        # threads, which share the symbol cache; every level's f and
-        # updates, the KIp values and the distances keep their bytes, also
-        # with more threads than cores switching often
+        # the levels' fixed points run on a pool of thread_count() threads,
+        # which share the symbol cache; every level's f and updates, the
+        # KIp values and the distances keep their bytes, also with more
+        # threads than cores switching often
         runs = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            for threads in ("1", "2", "3"):
-                monkeypatch.setenv("BELTRAMI_LAB_THREADS", threads)
+            for threads in (1, 2, 3):
+                monkeypatch.setattr(solver, "thread_count", lambda: threads)
                 solver._symbol.cache_clear()
                 run = truncation_scheme(MuSpec.example4(), (4.0, 8.0, 16.0), 1.5,
                                         SolveConfig(grid=GridSpec.square(128, 2.0)))

@@ -4,12 +4,12 @@
 
 SRC_DIR is the directory that holds the ``beltrami_lab`` package (``src``
 in a checkout).  Every command runs in-process through ``cli.main`` with
-``BELTRAMI_LAB_THREADS=2`` and BLAS pinned to one thread, as the benchmark
-pins it (the BLAS thread count changes the bits of the solver's small
-matrix products), each in its own output directory under a temporary
-directory that is removed afterwards.  A line holds the command, its exit
-code and the first 12 hex digits of the sha256 of each output file;
-``summary`` hashes the sorted-key JSON of the summary's ``results``,
+BLAS pinned to one thread, as the benchmark pins it (the BLAS thread count
+changes the bits of the solver's small matrix products; the size of
+``truncate``'s pool does not), each in its own output directory under a
+temporary directory that is removed afterwards.  A line holds the command,
+its exit code and the first 12 hex digits of the sha256 of each output
+file; ``summary`` hashes the sorted-key JSON of the summary's ``results``,
 ``checks``, ``error`` and ``non_finite``.  FILE is the ``mu.cfld`` of the
 second command; commands 31 and 32 are the benchmark's two 512² solver
 workloads; ``report`` merges the summaries of commands 1, 10 and 20.  A
@@ -111,8 +111,7 @@ def main(argv: list) -> int:
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
-    os.environ.update(BELTRAMI_LAB_THREADS="2", OMP_NUM_THREADS="1",
-                      OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    os.environ.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     sys.path.insert(0, os.path.abspath(argv[0]))
     from beltrami_lab import cli
 
