@@ -27,16 +27,20 @@ Each Beurling application adds the three terms back,
 them the periodization error of the small torus shows in the solution.
 The lattice is square only when dx == dy, which SolveConfig requires.
 
-The Cauchy step runs once per solve, by the same rule: h's support box is
-zero-padded to a square torus about TORUS_FACTOR times the grid's side, of
-period P, and the result is taken on the whole grid.  On that torus the
-kernel 1/(pi z) becomes (zeta(z) - pi zbar / P^2) / pi, with zeta the
-Weierstrass zeta function of the same lattice,
+The Cauchy step runs once per solve, on mu's support box: every update
+h <- mu S(h) + mu is exactly 0 wherever mu is, so that box holds h's
+support, and no full-grid copy of h is made.  The box is zero-padded to a
+square torus about TORUS_FACTOR times the grid's side, of period P, and the
+result is taken on the whole grid; the public transforms take the box of
+their input's support instead.  On that torus the kernel 1/(pi z) becomes
+(zeta(z) - pi zbar / P^2) / pi, with zeta the Weierstrass zeta function of
+the same lattice,
 zeta(z) = 1/z - sum_k c_k / (2k - 1) z^(2k-1) / P^2k, k = 2, 4, 6, ...
-(zeta' = -wp, so its coefficients are wp's; the z^3 one is G4).  C adds
-back the zbar term, (1/P^2) int (zbar - wbar) h(w) dA (the frequency
-multiplier drops the zero mode, and the zbar part restores it so the
-discrete dbar of f equals h), and the three zeta terms
+(zeta' = -wp, so its coefficients are wp's; the z^3 one is G4).  The torus
+operator of the Cauchy kind adds back the zbar term,
+(1/P^2) int (zbar - wbar) h(w) dA (the frequency multiplier drops the zero
+mode, and the zbar part restores it so the discrete dbar of f equals h),
+and the three zeta terms
 (1/pi) sum_k c_k / (2k - 1) P^-2k int (z - w)^(2k-1) h(w) dA.  For h in
 the unit disk on a grid over [-L, L]^2 with L >= 1.5, as SolveConfig
 requires, |z - w| / P <= (sqrt(2) L + 1) / (3 L) <= 0.69 at every grid z.
@@ -227,7 +231,9 @@ def _torus_operator(kind: str, grid: GridSpec, x: np.ndarray, y: np.ndarray, at:
     which the box sits at offset at.  Returns the complex128 symbol,
     remainder() (the lattice terms' map R, built on first use, after the
     first multiplier) and apply(data, symbol=symbol): the multiplier plus R,
-    in the precision of the symbol."""
+    in the precision of the symbol, and for the Cauchy kind also the zbar
+    term of the module docstring, from the data's torus mean and first
+    moment.  apply is the whole operator: no caller adds a term to it."""
     side = sfft.next_fast_len(math.ceil(TORUS_FACTOR * max(x_out.size, y_out.size)))
     period = side * grid.dx
     # zeta' = -wp: the Cauchy kernel's terms integrate the Beurling kernel's
@@ -243,6 +249,17 @@ def _torus_operator(kind: str, grid: GridSpec, x: np.ndarray, y: np.ndarray, at:
     def apply(data: np.ndarray, symbol: np.ndarray = symbol) -> np.ndarray:
         out = _apply_multiplier(data, symbol, at, (y_out.size, x_out.size))
         out += remainder()(data)
+        if odd:
+            # (1/P^2) int (zbar - wbar) h dA, with P^2 the area of the torus:
+            # zbar times h's mean over the torus, the zero mode the multiplier
+            # drops, less the first moment of h over that area.  numpy sums
+            # a strided view in another order than a contiguous array; the
+            # mean sums a contiguous one, so the solver's box-sized h and the
+            # public transforms' view of a grid field give the same bits
+            wbar = grid.cell_area * (data.sum(axis=0) @ x - 1j * (data.sum(axis=1) @ y))
+            mean = complex(np.ascontiguousarray(data).sum() / (side * side))
+            out += (mean * x_out - wbar / period**2)[None, :]
+            out -= (1j * mean * y_out)[:, None]
         return out
 
     return symbol, remainder, apply
@@ -250,8 +267,9 @@ def _torus_operator(kind: str, grid: GridSpec, x: np.ndarray, y: np.ndarray, at:
 
 def _grid_transform(h: ComplexField, kind: str) -> ComplexField:
     """The torus operator of kind on h's support box, taken on the whole
-    grid, plus the Cauchy kernel's zbar term.  The lattice is square only on
-    a square grid of square cells; h must vanish near the grid boundary."""
+    grid, after the input checks the solver's own calls do not need: the
+    lattice is square only on a square grid of square cells, and h must
+    vanish near the grid boundary (PaddingError)."""
     grid = h.grid
     if grid.nx != grid.ny or not math.isclose(grid.dx, grid.dy, rel_tol=1e-12):
         raise ValueError(f"{kind}_transform needs a square torus (nx == ny, dx == dy)")
@@ -262,30 +280,21 @@ def _grid_transform(h: ComplexField, kind: str) -> ComplexField:
                            f"(edge magnitude {frame:.3e} vs peak {peak:.3e})")
     rows, cols = _support_box(h.data)
     xs, ys = grid.xs(), grid.ys()
-    hb, x, y = h.data[rows, cols], xs[cols], ys[rows]
-    symbol, _, apply = _torus_operator(kind, grid, x, y, (rows.start, cols.start), xs, ys)
-    out = apply(hb)
-    if kind == "cauchy":
-        # (1/P^2) int (zbar - wbar) h dA, with P^2 the area of the torus:
-        # zbar times h's mean over the torus, the zero mode the multiplier
-        # drops, less the first moment of h over that area
-        wbar = grid.cell_area * (hb.sum(axis=0) @ x - 1j * (hb.sum(axis=1) @ y))
-        mean = complex(hb.sum() / symbol.size)
-        out += (mean * xs - wbar / (symbol.shape[0] * grid.dx)**2)[None, :]
-        out -= (1j * mean * ys)[:, None]
-    return ComplexField(grid, out)
+    apply = _torus_operator(kind, grid, xs[cols], ys[rows], (rows.start, cols.start), xs, ys)[2]
+    return ComplexField(grid, apply(h.data[rows, cols]))
 
 
 def cauchy_transform(h: ComplexField) -> ComplexField:
     """Solid Cauchy transform: the discrete dbar of the output equals h.
 
-    _grid_transform adds back the zbar and zeta terms of the module
-    docstring, from moments over h's support box.  Without the zbar term
-    the output of compactly supported data is off by a linear deficit at
-    interior points, and without the constant in it by an offset that grows
-    with the distance of h's support from 0.  The zeta series stops at
-    z^11, so its error is of order (|z - w| / P)^15; on solver inputs
-    |z - w| / P <= 0.69."""
+    It is the Cauchy torus operator that the solver's Cauchy step applies,
+    behind _grid_transform's input checks, with the zbar and zeta terms of
+    the module docstring taken from moments over h's support box.  Without
+    the zbar term the output of compactly supported data is off by a linear
+    deficit at interior points, and without the constant in it by an offset
+    that grows with the distance of h's support from 0.  The zeta series
+    stops at z^11, so its error is of order (|z - w| / P)^15; on solver
+    inputs |z - w| / P <= 0.69."""
     return _grid_transform(h, "cauchy")
 
 
@@ -564,13 +573,15 @@ def _finish(level: _Level) -> tuple:
     did not converge."""
     h_box, updates, side, converged, single = level.fixed
     mu_data, level.fixed, level.mu_data = level.mu_data, None, None
-    grid, box, seconds = level.cfg.grid, level.box, level.seconds
+    grid, (rows, cols), seconds = level.cfg.grid, level.box, level.seconds
     t0 = time.perf_counter()
-    h = np.zeros((grid.ny, grid.nx), dtype=complex)
-    h[box] = h_box
+    # h <- mu S(h) + mu is exactly 0 wherever mu is, so mu's support box
+    # holds h's support, and the Cauchy operator takes h on that box; the
+    # operator is not kept, so its lattice map is freed before the residual
+    xs, ys = grid.xs(), grid.ys()
+    f_data = _torus_operator("cauchy", grid, xs[cols], ys[rows], (rows.start, cols.start),
+                             xs, ys)[2](h_box)
     del h_box
-    f_data = cauchy_transform(ComplexField(grid, h)).data
-    del h
     f_data += grid.zz()
     f = ComplexField(grid, f_data)
     t1 = time.perf_counter()

@@ -273,6 +273,29 @@ class TestSolvePrincipal:
         assert np.array_equal(res.f.data, zz)
         assert res.residual.linf < 1e-10
 
+    @pytest.mark.parametrize("spec, n", [
+        (truncate_mu(MuSpec.example3(0.5), 10.0), 128),
+        (truncate_mu(MuSpec.example4(), 4.0), 96),
+        (MuSpec.constant(0.0), 64),
+        (truncate_mu(MuSpec.example4(), 64.0), 512),
+    ], ids=["example3-k10", "example4-k4", "const-0", "example4-k64-512"])
+    def test_cauchy_step_matches_public_transform(self, spec, n):
+        # _finish applies the Cauchy operator to h on mu's support box, and
+        # cauchy_transform to h on the whole grid, where it finds h's own
+        # box: the two must give the same bits.  mu = 0 has no support, so
+        # both take the whole grid.  At 512^2, numpy's sum of this h rounds
+        # differently over the contiguous box and over a strided view of
+        # the grid field, so the operator's mean must not hang on the layout
+        g = GridSpec.square(n, 2.0)
+        level = solver._prepare(spec, SolveConfig(grid=g))
+        solver._iterate(level)
+        h_box, box = level.fixed[0].copy(), level.box
+        res = solver._finish(level)[0]
+        h = np.zeros((g.ny, g.nx), dtype=complex)
+        h[box] = h_box
+        want = g.zz() + cauchy_transform(ComplexField(g, h)).data
+        assert res.f.data.tobytes() == want.tobytes()
+
     def test_constant_mu_closed_form(self):
         c = 0.4 + 0.1j
         cfg = SolveConfig(grid=GridSpec.square(256, 2.0))
